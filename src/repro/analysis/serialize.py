@@ -173,7 +173,7 @@ def load_campaign(path):
 def campaign_from_shard_journals(journal):
     """Reconstruct a :class:`CampaignResult` from the per-shard JSONL
     journals of a parallel campaign (see
-    :mod:`repro.injection.parallel`).
+    :mod:`repro.injection.fleet`).
 
     *journal* is either the campaign's base journal path (shard files
     are discovered as ``<journal>.shardK``) or an explicit iterable of

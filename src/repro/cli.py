@@ -144,43 +144,23 @@ def cmd_campaign(args, out):
         raise SystemExit("unknown client %r (have: %s)"
                          % (args.client, ", ".join(sorted(clients))))
     bus, telemetry = _telemetry_kwargs(args)
-    if args.workers and args.workers > 1:
-        # thin client of the scheduler/fleet layers: a private warm
-        # fleet runs this one campaign in-process
-        from .injection import run_fleet_campaign
-        campaign = run_fleet_campaign(
-            daemon, args.client, clients[args.client],
-            workers=args.workers, deadline=args.deadline,
-            graceful_signals=True,
-            encoding=args.encoding, fault_model=args.fault_model,
-            max_points=args.max_points,
-            journal=args.journal, resume=args.resume,
-            retries=args.retries,
-            trace=args.trace, metrics=args.metrics,
-            forensics=args.forensics, progress=_progress(args),
-            journal_fsync=args.journal_fsync,
-            journal_salvage=args.journal_salvage,
-            full_restore=args.full_restore,
-            prune=args.prune, audit_fraction=args.audit_fraction,
-            audit_seed=args.audit_seed, **telemetry)
-    else:
-        campaign = run_campaign(
-            daemon, args.client, clients[args.client],
-            encoding=args.encoding,
-            fault_model=args.fault_model,
-            max_points=args.max_points,
-            journal=args.journal, resume=args.resume,
-            retries=args.retries, workers=args.workers,
-            trace=args.trace, metrics=args.metrics,
-            forensics=args.forensics, progress=_progress(args),
-            deadline=args.deadline, journal_fsync=args.journal_fsync,
-            journal_salvage=args.journal_salvage,
-            full_restore=args.full_restore,
-            prune=args.prune, audit_fraction=args.audit_fraction,
-            audit_seed=args.audit_seed,
-            # SIGTERM/SIGINT checkpoint the campaign instead of
-            # killing it; resume with --resume.
-            graceful_signals=True, **telemetry)
+    campaign = run_campaign(
+        daemon, args.client, clients[args.client],
+        encoding=args.encoding,
+        fault_model=args.fault_model,
+        max_points=args.max_points,
+        journal=args.journal, resume=args.resume,
+        retries=args.retries, workers=args.workers,
+        trace=args.trace, metrics=args.metrics,
+        forensics=args.forensics, progress=_progress(args),
+        deadline=args.deadline, journal_fsync=args.journal_fsync,
+        journal_salvage=args.journal_salvage,
+        full_restore=args.full_restore,
+        prune=args.prune, audit_fraction=args.audit_fraction,
+        audit_seed=args.audit_seed,
+        # SIGTERM/SIGINT checkpoint the campaign instead of
+        # killing it; resume with --resume.
+        graceful_signals=True, **telemetry)
     if args.journal:
         if args.workers and args.workers > 1:
             out.write("journal: %s.shard0..%d\n"
@@ -248,19 +228,11 @@ def cmd_figure4(args, out):
     daemon, clients = _make_daemon(args.daemon)
     attacker = get_daemon_spec(args.daemon).attacker_client
     bus, telemetry = _telemetry_kwargs(args)
-    if args.workers and args.workers > 1:
-        from .injection import run_fleet_campaign
-        campaign = run_fleet_campaign(
-            daemon, attacker, clients[attacker],
-            workers=args.workers, graceful_signals=True,
-            trace=args.trace, metrics=args.metrics,
-            progress=_progress(args), **telemetry)
-    else:
-        campaign = run_campaign(
-            daemon, attacker, clients[attacker],
-            workers=args.workers, trace=args.trace,
-            metrics=args.metrics, progress=_progress(args),
-            **telemetry)
+    campaign = run_campaign(
+        daemon, attacker, clients[attacker],
+        workers=args.workers, graceful_signals=True,
+        trace=args.trace, metrics=args.metrics,
+        progress=_progress(args), **telemetry)
     histogram = build_histogram(campaign.crash_latencies())
     out.write(format_histogram(histogram) + "\n")
     _write_telemetry_artifacts(out, args, bus, daemon=daemon)
@@ -611,10 +583,10 @@ def build_parser():
                                "outcome will not stabilise")
     campaign.add_argument("--workers", type=int, default=None,
                           metavar="N",
-                          help="shard the experiment list across N "
+                          help="run the experiment list on N worker "
                                "processes; tallies are identical to "
                                "a serial run (journals become "
-                               "per-shard <journal>.shardK files)")
+                               "per-worker <journal>.shardK files)")
     campaign.add_argument("--deadline", type=float, default=None,
                           metavar="SECONDS",
                           help="checkpoint and exit (status %d) after "
@@ -678,7 +650,7 @@ def build_parser():
     figure4.add_argument("--progress", action="store_true")
     figure4.add_argument("--workers", type=int, default=None,
                          metavar="N",
-                         help="shard the campaign across N processes")
+                         help="run the campaign on N worker processes")
     _add_obs_args(figure4)
     figure4.set_defaults(handler=cmd_figure4)
 
@@ -776,7 +748,8 @@ def _add_obs_args(parser):
     parser.add_argument("--trace", default=None, metavar="FILE",
                         help="write a Chrome-trace span file "
                              "(chrome://tracing / Perfetto); parallel "
-                             "runs merge per-shard sinks into FILE")
+                             "runs merge every worker's spans into "
+                             "FILE")
     parser.add_argument("--metrics", default=None, metavar="FILE",
                         help="write the unified metrics registry "
                              "(outcome tallies, crash-latency "

@@ -25,15 +25,12 @@ from .pruning import (class_is_audited, default_classify,
                       PRUNE_BYTES, PRUNE_DEAD, PRUNE_FAULT,
                       PRUNE_SOLO, PRUNE_SUCC, PruningAuditError,
                       PruningPlan, result_signature, SitePlan)
-from .supervisor import (ShardSupervisor, SupervisionReport,
-                         SupervisorConfig)
 from .scheduler import (build_units, CampaignScheduler,
                         instruction_groups, UNIT_INSTRUCTIONS,
                         WorkUnit)
 from .fleet import (FleetConfig, run_fleet_campaign, WorkerFleet)
 from .parallel import (discover_shard_journals, load_shard_journals,
-                       ParallelCampaignRunner, run_parallel_campaign,
-                       shard_journal_path, shard_points)
+                       shard_journal_path)
 from .locations import (ALL_LOCATIONS, classify_location,
                         LOCATION_2BC, LOCATION_2BO, LOCATION_6BC1,
                         LOCATION_6BC2, LOCATION_6BO,
@@ -70,12 +67,10 @@ __all__ = [
     "GuardedWatchdog", "default_classify", "fan_out_result",
     "class_is_audited", "result_signature", "PRUNE_DEAD",
     "PRUNE_BYTES", "PRUNE_FAULT", "PRUNE_SUCC", "PRUNE_SOLO",
-    "ShardSupervisor", "SupervisionReport", "SupervisorConfig",
     "CampaignScheduler", "WorkUnit", "build_units",
     "instruction_groups", "UNIT_INSTRUCTIONS",
     "FleetConfig", "WorkerFleet", "run_fleet_campaign",
-    "ParallelCampaignRunner",
-    "run_parallel_campaign", "shard_points", "shard_journal_path",
+    "shard_journal_path",
     "discover_shard_journals", "load_shard_journals",
     "Watchdog", "WatchdogConfig", "HANG", "HARNESS_FAULT",
     "REFINED_OUTCOMES", "FOLD_TO_PAPER",

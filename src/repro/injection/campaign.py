@@ -19,7 +19,7 @@ journal makes campaigns resumable (``journal=path, resume=True``).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..apps.common import CONNECTION_INSTRUCTION_BUDGET
 from .outcomes import (ALL_OUTCOMES, FAIL_SILENCE_VIOLATION,
@@ -216,32 +216,34 @@ def run_campaign(daemon, client_name, client_factory,
     ``retries`` re-executes each activated experiment that many times
     and quarantines points whose outcome will not stabilise.
 
-    ``workers=N`` (N > 1) shards the experiment list across N
-    processes (:mod:`repro.injection.parallel`); tallies and tables
-    are identical to a serial run, the journal becomes one
-    ``<journal>.shardK`` file per worker, and ``daemon_factory``
-    optionally overrides how each worker rebuilds its daemon.
+    ``workers=N`` (N > 1) runs the experiment list on a private fleet
+    of N worker processes
+    (:func:`repro.injection.fleet.run_fleet_campaign`); tallies and
+    tables are identical to a serial run, the journal becomes one
+    ``<journal>.shardK`` file per worker (the base path keeps only
+    work-unit progress markers), and ``daemon_factory`` optionally
+    overrides how each worker rebuilds its daemon.
 
     Observability (:mod:`repro.obs`): ``trace`` writes a Chrome-trace
-    span file (parallel runs merge per-shard ``<trace>.shardK``
-    sinks), ``metrics`` writes the serialized metrics registry (also
+    span file (parallel runs merge every worker's spans into it),
+    ``metrics`` writes the serialized metrics registry (also
     attached as ``CampaignResult.metrics``), and ``forensics=True``
     captures the last-instructions ring plus a register/flags snapshot
     on every SD/HANG/HF record.  All three are observational: tables
     and tallies are byte-identical with any combination enabled.
 
-    Resilience (:mod:`repro.injection.supervisor`): ``deadline``
-    bounds the campaign's wall clock and ``graceful_signals=True``
-    converts SIGTERM/SIGINT into a clean checkpoint -- both raise
+    Resilience: ``deadline`` bounds the campaign's wall clock and
+    ``graceful_signals=True`` converts SIGTERM/SIGINT into a clean
+    checkpoint -- both raise
     :class:`~repro.injection.runner.CampaignInterrupted` with a
     resumable journal.  ``journal_fsync=N`` fsyncs the journal every N
     records (durability against power loss), ``journal_salvage=True``
     quarantines corrupt journal lines on resume instead of raising,
     ``chaos`` injects harness faults from a
     :class:`~repro.injection.chaos.ChaosPolicy`, and ``supervisor``
-    overrides the parallel runner's
-    :class:`~repro.injection.supervisor.SupervisorConfig` (restart
-    budget, backoff, heartbeat deadline).
+    is a :class:`~repro.injection.fleet.FleetConfig` for a parallel
+    run (restart budget, backoff, heartbeat deadline; its ``workers``
+    is replaced by ``workers=``).
 
     Pruning (:mod:`repro.injection.pruning`): ``prune=True`` partitions
     the points into equivalence classes, runs one representative per
@@ -259,7 +261,7 @@ def run_campaign(daemon, client_name, client_factory,
     shares breakpoint sessions across sequential serial campaigns --
     e.g. a fault-model sweep over the same daemon reuses one site
     snapshot per instruction (ignored by parallel runs, whose workers
-    each keep a private cache).
+    each keep their own cache).
 
     Telemetry (:mod:`repro.obs.events` / :mod:`repro.obs.sampler`):
     ``telemetry`` is an :class:`~repro.obs.events.EventBus` receiving
@@ -272,24 +274,24 @@ def run_campaign(daemon, client_name, client_factory,
     byte-identical with telemetry and sampling enabled.
     """
     if workers is not None and workers > 1:
-        from .parallel import ParallelCampaignRunner
-        runner = ParallelCampaignRunner(
+        from .fleet import run_fleet_campaign
+        return run_fleet_campaign(
             daemon, client_name, client_factory, workers=workers,
+            config=(None if supervisor is None
+                    else replace(supervisor, workers=workers)),
+            chaos=chaos, deadline=deadline,
+            graceful_signals=graceful_signals, telemetry=telemetry,
             encoding=encoding, kinds=kinds, budget=budget,
             progress=progress, max_points=max_points, ranges=ranges,
             journal=journal, resume=resume, retries=retries,
             watchdog=watchdog, daemon_factory=daemon_factory,
             fault_model=fault_model, trace=trace, metrics=metrics,
-            forensics=forensics, deadline=deadline,
-            graceful_signals=graceful_signals,
-            journal_fsync=journal_fsync,
-            journal_salvage=journal_salvage, chaos=chaos,
-            supervisor=supervisor, full_restore=full_restore,
+            forensics=forensics, journal_fsync=journal_fsync,
+            journal_salvage=journal_salvage, full_restore=full_restore,
             prune=prune, audit_fraction=audit_fraction,
-            audit_seed=audit_seed, telemetry=telemetry,
+            audit_seed=audit_seed,
             telemetry_campaign=telemetry_campaign, sampler=sampler,
             profile=profile)
-        return runner.run()
     from .runner import CampaignRunner
     # a serial run is "shard 0, attempt 0" to a chaos policy (an
     # already-built agent passes through).

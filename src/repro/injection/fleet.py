@@ -1,18 +1,17 @@
-"""Warm worker fleet: the campaign engine's execution layer.
+"""Warm worker fleet: the campaign engine's parallel execution layer.
 
-The one-shot sharded runner in :mod:`repro.injection.parallel` forks a
-fresh fleet per campaign, pays one daemon build plus one golden run
-per worker every time, and fixes the work assignment up front (shard K
-owns every K-th instruction group).  This module replaces both costs
-with an explicit execution layer under the scheduling layer of
+Every parallel campaign runs here: ``run_campaign(workers=N)``, the
+CLI's ``--workers N`` and ``repro serve`` all go through
+:func:`run_fleet_campaign` or a shared :class:`WorkerFleet`.  The
+fleet is the execution layer under the scheduling layer of
 :mod:`repro.injection.scheduler`:
 
 * a :class:`WorkerFleet` holds ``N`` long-lived worker processes that
-  *outlive campaigns*: each worker keeps its rebuilt daemons, golden
-  runs and a bounded
+  can *outlive campaigns*: each worker keeps its rebuilt daemons,
+  golden runs and a bounded
   :class:`~repro.injection.injector.SessionCache` warm per campaign
-  cell, so the second campaign for a cell skips the golden run and the
-  per-site snapshot captures entirely;
+  cell, so the service's second campaign for a cell skips the golden
+  run and the per-site snapshot captures entirely;
 * workers pull :class:`~repro.injection.scheduler.WorkUnit`\\ s from a
   :class:`~repro.injection.scheduler.CampaignScheduler` whenever they
   go idle (work stealing by pull), interleaving units from several
@@ -20,15 +19,21 @@ with an explicit execution layer under the scheduling layer of
 * every unit runs through the ordinary fault-tolerant
   :class:`~repro.injection.runner.CampaignRunner` (isolation,
   watchdog, retries, quarantine, pruning all apply per unit) and
-  journals to the worker's ``<journal>.shardK`` file, so resume, the
-  salvage loader and ``repro status`` see the familiar format;
-* the supervision machinery of
-  :mod:`repro.injection.supervisor` -- heartbeats via progress ticks,
-  exponential-backoff respawn with a per-worker-incarnation restart
-  budget, journal salvage of whatever a dead worker completed,
-  inline completion in the parent as the last resort, and graceful
-  checkpoint drain -- is applied to the fleet instead of to one-shot
-  shards.
+  journals to the worker's ``<journal>.shardK`` file
+  (:mod:`repro.injection.parallel`), so resume, the salvage loader and
+  ``repro status`` read one format;
+* supervision: progress ticks are heartbeats; a dead, wedged or
+  erroring worker incarnation is respawned with exponential backoff
+  against a per-worker restart budget, whatever it journaled is
+  salvaged and its next incarnation resumes the rest of its unit; a
+  worker that exhausts its budget is retired and that remainder
+  migrates to a sibling (or, with every worker retired, runs inline
+  in the parent); SIGTERM/SIGINT or a deadline checkpoint the
+  campaign through :meth:`WorkerFleet.drain`.
+
+Every supervision event is counted (:data:`EVENT_NAMES`, exported as
+volatile ``supervisor.*`` metrics) and marked on the campaign trace,
+so a recovered campaign is visibly recovered.
 
 Determinism: completions are keyed by point and merged by enumeration
 index (:meth:`CampaignScheduler.merged_results`), so Tables 1/3/5,
@@ -40,7 +45,9 @@ or were salvaged and requeued after a crash.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import signal
+import threading
 import time
 import traceback
 from dataclasses import dataclass, field
@@ -53,7 +60,6 @@ from ..obs.metrics import MetricsRegistry, record_supervision_metrics
 from ..obs.sampler import as_sampler, Sampler
 from ..obs.trace import merge_trace_files, Tracer
 from .faultmodels import get_fault_model
-from .golden import record_golden
 from .injector import SessionCache
 from .parallel import (_record_key, default_daemon_factory,
                        discover_shard_journals, load_shard_journals,
@@ -61,11 +67,10 @@ from .parallel import (_record_key, default_daemon_factory,
 from .runner import (_point_key, CampaignInterrupted, CampaignJournal,
                      campaign_timing, CampaignRunner,
                      declare_campaign_metrics, JournalError,
-                     record_result_metrics, record_runtime_metrics,
-                     validate_journal_meta, Watchdog, WatchdogConfig)
+                     record_golden_traced, record_result_metrics,
+                     record_runtime_metrics, validate_journal_meta,
+                     Watchdog, WatchdogConfig)
 from .scheduler import CampaignScheduler, UNIT_INSTRUCTIONS
-from .supervisor import (backoff_delay, EVENT_NAMES,
-                         install_stop_handlers, join_process)
 from .targets import DEFAULT_TARGET_KINDS
 
 _LOGGER = get_logger("fleet")
@@ -76,19 +81,37 @@ BUSY = "busy"
 BACKOFF = "backoff"
 RETIRED = "retired"
 
+#: every supervision event the fleet counts (and the metrics registry
+#: exports as ``supervisor.<name>`` volatile counters).  A retired
+#: worker counts as a ``failed_shards`` event, and the points of the
+#: unit it held, which migrate to its siblings, as ``degraded`` /
+#: ``degraded_points``.  ``pipe_errors`` counts message channels torn
+#: while their worker was busy (killed mid-send); the EOF after a
+#: clean ``bye`` is normal teardown and not counted.
+EVENT_NAMES = ("respawns", "wedged", "worker_errors", "failed_shards",
+               "degraded", "degraded_points", "salvaged_points",
+               "inline_points", "checkpoints", "checkpoint_exits",
+               "stale_messages", "pipe_errors")
+
 
 @dataclass
 class FleetConfig:
-    """Tunables for :class:`WorkerFleet`.
+    """Tunables for :class:`WorkerFleet` (and the ``supervisor=``
+    argument of :func:`~repro.injection.campaign.run_campaign`, which
+    takes ``workers`` from its own ``workers=``).
 
-    Supervision knobs mirror
-    :class:`~repro.injection.supervisor.SupervisorConfig`;
     ``max_restarts`` is the per-worker-*incarnation* budget (a worker
-    that keeps dying is retired, its queued unit migrates to a
-    sibling).  ``unit_attempts`` bounds how often one unit may bounce
-    between dying workers before the parent runs it inline.
+    that keeps dying is retired, the unit it held migrates to a
+    sibling).  ``unit_attempts`` bounds how often one unit may be
+    taken from the queue (a failed dispatch, a migration) before the
+    parent runs it inline.
     ``session_capacity`` bounds each worker's warm
     :class:`~repro.injection.injector.SessionCache` (LRU).
+    ``heartbeat_timeout`` defaults to twice the watchdog's wall-clock
+    limit plus slack, so a worker inside its slowest legal experiment
+    is never declared wedged.  ``dead_grace`` delays the verdict on a
+    non-alive process long enough for its final pipe message to
+    drain.
     """
 
     workers: int = 2
@@ -102,6 +125,43 @@ class FleetConfig:
     poll_interval: float = 0.25
     dead_grace: float = 0.5
     drain_timeout: float = 30.0
+
+
+def backoff_delay(config, restarts):
+    """Exponential respawn delay for the *restarts*-th restart
+    (1-based), capped."""
+    return min(config.backoff_cap,
+               config.backoff_base * (2 ** (restarts - 1)))
+
+
+def install_stop_handlers(on_stop):
+    """Convert SIGTERM/SIGINT into ``on_stop(signal_name)`` (flag, not
+    raise -- the caller checkpoints at the next clean boundary).
+    Returns the restore callback; a no-op off the main thread, where
+    signal handlers cannot be installed."""
+    if threading.current_thread() is not threading.main_thread():
+        return lambda: None
+
+    def request_stop(signum, frame):
+        on_stop(signal.Signals(signum).name)
+
+    previous = {}
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        previous[signum] = signal.signal(signum, request_stop)
+
+    def restore():
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)
+
+    return restore
+
+
+def join_process(process, timeout=5.0):
+    """Join with a SIGKILL escalation for processes that ignore it."""
+    process.join(timeout)
+    if process.is_alive():
+        process.kill()
+        process.join(timeout)
 
 
 # ----------------------------------------------------------------------
@@ -129,14 +189,15 @@ class _IncarnationChaos:
 
 
 def _fleet_worker_main(worker, incarnation, conn, config,
-                       chaos_policy=None):
+                       chaos_policy=None, contexts=None):
     """Long-lived warm worker: serve units until told to stop.
 
     ``conn`` is this incarnation's private duplex pipe (one writer per
     end, so a worker killed mid-send tears only its own channel).
-    Inbound messages: ``("campaign", ctx)`` registers a campaign
-    context, ``("unit", cid, unit)`` runs one work unit, ``("stop",)``
-    exits.  Every outbound message is tagged
+    ``contexts`` holds the campaigns submitted before the fork.
+    Inbound messages: ``("campaign", ctx)`` registers a later
+    campaign's context, ``("unit", cid, unit)`` runs one work unit,
+    ``("stop",)`` exits.  Every outbound message is tagged
     ``(kind, worker, incarnation, ...)`` so the parent can discard a
     killed incarnation's leftovers as stale.
 
@@ -162,7 +223,7 @@ def _fleet_worker_main(worker, incarnation, conn, config,
     except ValueError:
         pass          # not this process's main thread (test harness)
 
-    contexts = {}     # cid -> campaign context dict
+    contexts = dict(contexts or {})     # cid -> campaign context
     daemons = {}      # cell -> rebuilt daemon
     goldens = {}      # cell -> GoldenRun
     sessions = SessionCache(capacity=config.session_capacity)
@@ -170,10 +231,16 @@ def _fleet_worker_main(worker, incarnation, conn, config,
              if chaos_policy is not None else None)
     chaos = _IncarnationChaos(agent) if agent is not None else None
 
+    # Forked siblings hold copies of this pipe's parent end, so a
+    # parent killed without stopping the fleet may never show as EOF:
+    # watch for being re-parented instead.
+    parent = multiprocessing.parent_process()
     emit("hello")
     try:
         while stop["reason"] is None:
             if not conn.poll(config.poll_interval):
+                if parent is not None and os.getppid() != parent.pid:
+                    break                 # parent gone: shut down
                 continue
             try:
                 message = conn.recv()
@@ -294,6 +361,9 @@ class WorkerSlot:
     dead_since: float | None = None
     #: ``(cid, unit)`` while BUSY.
     current: tuple | None = None
+    #: ``(cid, unit)`` the next incarnation resumes: the remainder of
+    #: the unit its predecessor failed in (salvaged prefix recorded).
+    reserved: tuple | None = None
     #: campaign ids whose context this incarnation has received.
     known: set = field(default_factory=set)
     failures: list = field(default_factory=list)
@@ -421,13 +491,15 @@ class WorkerFleet:
 
     The fleet outlives campaigns (that is its point); `submit` may be
     called while other campaigns are still running, and idle workers
-    interleave units from every live campaign.  Supervision follows
-    :class:`~repro.injection.supervisor.ShardSupervisor`: progress
-    ticks are heartbeats, dead or wedged workers are respawned with
-    exponential backoff against a per-incarnation restart budget,
-    whatever a dead worker journaled is salvaged and the remainder of
-    its unit requeued (at the front, so salvaged work finishes first),
-    and when every slot is retired the parent finishes remaining units
+    interleave units from every live campaign.  Workers start on
+    :meth:`start` or the first :meth:`pump`, so a campaign resumed
+    from complete journals forks none.  Supervision: progress ticks
+    are heartbeats, dead, wedged or erroring workers are respawned
+    with exponential backoff against a per-incarnation restart budget,
+    whatever such a worker journaled is salvaged and its next
+    incarnation resumes the remainder of its unit; a retired worker's
+    remainder goes to the front of the queue for its siblings, and
+    when every slot is retired the parent finishes remaining units
     inline with its own daemons.  :meth:`drain` checkpoints every
     in-flight unit for the service's graceful shutdown.
     """
@@ -507,10 +579,17 @@ class WorkerFleet:
         if slot.conn is not None:
             slot.conn.close()
         parent_conn, child_conn = self.context.Pipe()
+        # Contexts of campaigns already submitted travel with the
+        # fork, unpickled: a private fleet starts after its one
+        # submission, so a locally defined daemon factory, client or
+        # daemon class works as in a serial run.  Later submissions
+        # are sent over the pipe.
+        contexts = {cid: state.context()
+                    for cid, state in self.campaigns.items()}
         process = self.context.Process(
             target=_fleet_worker_main,
             args=(slot.worker, slot.incarnation, child_conn,
-                  self.config, self.chaos))
+                  self.config, self.chaos, contexts))
         process.daemon = True
         process.start()
         child_conn.close()
@@ -518,7 +597,7 @@ class WorkerFleet:
         slot.process = process
         slot.status = IDLE
         slot.current = None
-        slot.known = set()
+        slot.known = set(contexts)
         slot.last_beat = time.monotonic()
         slot.dead_since = None
 
@@ -548,20 +627,26 @@ class WorkerFleet:
                metrics=None, forensics=False, journal_fsync=None,
                journal_salvage=False, full_restore=False, prune=False,
                audit_fraction=0.0, audit_seed=0, on_unit=None,
-               telemetry_campaign=None, sampler=None, profile=None):
+               telemetry_campaign=None, sampler=None, profile=None,
+               min_units=1):
         """Submit one campaign; returns its campaign id.
 
         Mirrors :func:`repro.injection.campaign.run_campaign`'s
         options.  ``on_unit(state, unit, payload)`` is called as each
-        unit completes (the service streams from it).
+        unit completes (the service streams from it).  ``min_units``
+        spreads a small campaign over at least that many units (a
+        fleet dedicated to one campaign passes its worker count, so
+        every worker gets work; a shared fleet interleaves campaigns
+        instead).  Without ``resume`` the campaign starts its journal
+        afresh: existing ``<journal>.shardK`` files and the base
+        path's unit markers are removed, as the serial runner
+        truncates its own journal.
         ``telemetry_campaign`` labels this campaign's events on the
         fleet's bus (default: the fleet-local cid); ``sampler`` /
         ``profile`` attach the sampling profiler (workers sample their
         own units, the parent folds the profiles and saves the merge
         at ``profile``).
         """
-        if not self._started:
-            self.start()
         from .campaign import ENCODING_OLD
         cid = "c%04d" % self._next_cid
         self._next_cid += 1
@@ -574,8 +659,15 @@ class WorkerFleet:
                                else WatchdogConfig())
         if daemon_factory is None:
             daemon_factory = default_daemon_factory(daemon)
-        trace_path = None if trace is None else str(trace)
-        tracer = Tracer(sink=None)
+        # ``trace`` is normally a sink path the merged trace is written
+        # to.  A caller's Tracer instance takes the parent's spans, but
+        # tracers do not cross process boundaries, so workers then
+        # emit nothing.
+        if isinstance(trace, Tracer):
+            tracer, trace_path = trace, None
+        else:
+            tracer = Tracer(sink=None)
+            trace_path = None if trace is None else str(trace)
         root_cm = tracer.span("campaign", workers=self.config.workers,
                               campaign=cid)
         root_span = root_cm.__enter__()
@@ -587,15 +679,8 @@ class WorkerFleet:
         golden = self.goldens.get(cell)
         golden_reused = golden is not None
         if golden is None:
-            with tracer.span("golden-run") as span:
-                if sampler is not None:
-                    with sampler.host_phase("golden-run"):
-                        golden = record_golden(daemon, client_factory,
-                                               budget)
-                else:
-                    golden = record_golden(daemon, client_factory,
-                                           budget)
-                span.set("coverage_eips", len(golden.coverage))
+            golden = record_golden_traced(daemon, client_factory,
+                                          budget, tracer, sampler)
             self.goldens[cell] = golden
         if ranges is None:
             ranges = daemon.auth_ranges()
@@ -603,8 +688,15 @@ class WorkerFleet:
         if max_points is not None:
             points = points[:max_points]
         scheduler = CampaignScheduler(
-            points, unit_instructions=self.config.unit_instructions)
+            points, unit_instructions=self.config.unit_instructions,
+            min_units=min_units)
         resumed_quarantined = {}
+        if journal is not None and not resume:
+            for path in discover_shard_journals(journal) + [journal]:
+                try:
+                    os.remove(path)
+                except FileNotFoundError:
+                    pass
         if resume and journal is not None:
             expected = {"daemon": type(daemon).__name__,
                         "client": client_name, "encoding": encoding,
@@ -655,6 +747,8 @@ class WorkerFleet:
     def pump(self):
         """One supervision iteration: drain messages, check liveness,
         respawn, assign units, fall back inline when out of workers."""
+        if not self._started:
+            self.start()
         self._pump_messages()
         now = time.monotonic()
         for slot in list(self.slots.values()):
@@ -723,13 +817,16 @@ class WorkerFleet:
             self.events["checkpoints"] += 1
             self._release_unit(slot, state, salvage=True)
         elif kind == "unit-error":
+            # An error leaves the incarnation suspect (its warm state
+            # may be what failed): stop it and treat it like a death,
+            # so the restart budget and retirement apply.
             self.events["worker_errors"] += 1
-            unit_id, detail = message[4], message[5]
-            self.failures.append((slot.worker, detail))
-            slot.failures.append(detail)
-            _LOGGER.warning("worker %d: unit %s of %s errored:\n%s",
-                            slot.worker, unit_id, cid, detail)
-            self._release_unit(slot, state, salvage=True)
+            slot.process.kill()
+            join_process(slot.process)
+            self._failure(slot, "worker %d incarnation %d: unit %s of "
+                          "%s errored:\n%s"
+                          % (slot.worker, slot.incarnation, message[4],
+                             cid, message[5]))
 
     def _unit_done(self, slot, state, unit_id, payload):
         if slot.current is None or slot.current[1].unit_id != unit_id:
@@ -783,12 +880,14 @@ class WorkerFleet:
         except OSError:
             pass          # advisory metadata only, never fatal
 
-    def _release_unit(self, slot, state, salvage):
+    def _release_unit(self, slot, state, salvage, requeue=True):
         """Give a unit back to its scheduler (worker checkpointed,
-        errored or died): salvage what its journal holds, requeue the
-        uncovered remainder."""
+        errored or died): salvage what its journal holds, then requeue
+        the uncovered remainder (or, with ``requeue=False``, only
+        register it).  Returns the remainder unit, or ``None`` when
+        nothing is left to run."""
         if slot.current is None:
-            return
+            return None
         unit = slot.current[1]
         slot.current = None
         state.partials.pop(slot.worker, None)
@@ -796,7 +895,9 @@ class WorkerFleet:
             slot.status = IDLE
         if salvage:
             self._salvage_unit(state, unit, slot.worker)
-        state.scheduler.requeue(unit)
+        if requeue:
+            return state.scheduler.requeue(unit)
+        return state.scheduler.remainder(unit)
 
     def _salvage_unit(self, state, unit, worker):
         """Recover what a worker already journaled for *unit* (only
@@ -871,14 +972,25 @@ class WorkerFleet:
         slot.failures.append(detail)
         self.failures.append((slot.worker, detail))
         slot.dead_since = None
+        # The remainder of the failed unit stays with this worker: its
+        # next incarnation resumes it from the worker's shard journal,
+        # and only a retired worker's remainder migrates to siblings.
+        reserved, slot.reserved = slot.reserved, None
         if slot.current is not None:
             cid = slot.current[0]
             state = self.campaigns.get(cid)
-            if state is not None:
-                self._release_unit(slot, state, salvage=True)
+            remainder = (None if state is None else self._release_unit(
+                slot, state, salvage=True, requeue=False))
+            reserved = None if remainder is None else (cid, remainder)
         if slot.restarts >= slot.max_restarts:
             slot.status = RETIRED
             self.events["failed_shards"] += 1
+            state = (None if reserved is None
+                     else self.campaigns.get(reserved[0]))
+            if state is not None:
+                state.scheduler.push(reserved[1])
+                self.events["degraded"] += 1
+                self.events["degraded_points"] += len(reserved[1])
             self._emit_fleet("worker-retired", worker=slot.worker,
                              incarnation=slot.incarnation,
                              restarts=slot.restarts)
@@ -888,6 +1000,7 @@ class WorkerFleet:
                 slot.restarts, slot.worker)
             return
         slot.restarts += 1
+        slot.reserved = reserved
         delay = backoff_delay(self.config, slot.restarts)
         slot.status = BACKOFF
         slot.resume_due = time.monotonic() + delay
@@ -919,6 +1032,11 @@ class WorkerFleet:
         idle = [slot for slot in self.slots.values()
                 if slot.status == IDLE and slot.process is not None
                 and slot.process.is_alive()]
+        for slot in idle:
+            if slot.reserved is not None:
+                self._resume_reserved(slot)
+        idle = [slot for slot in idle
+                if slot.status == IDLE and slot.reserved is None]
         if not idle:
             return
         cids = sorted(cid for cid, state in self.campaigns.items()
@@ -935,9 +1053,9 @@ class WorkerFleet:
                     continue
                 if state.scheduler.attempts(unit) \
                         > self.config.unit_attempts:
-                    # bounced between dying workers too often: the
-                    # parent finishes it with its own daemon.
-                    self._run_unit_inline(state, unit)
+                    # taken from the queue too often: the parent
+                    # finishes it with its own daemon.
+                    self._complete_inline(state, unit)
                     continue
                 if self._dispatch(slot, state, unit):
                     self._assign_rotor = (self._assign_rotor + offset
@@ -947,6 +1065,15 @@ class WorkerFleet:
                 state.scheduler.requeue(unit)
             if not assigned:
                 return
+
+    def _resume_reserved(self, slot):
+        """Hand a respawned incarnation the unit its predecessor
+        failed in, unless that campaign is gone or checkpointed."""
+        cid, unit = slot.reserved
+        state = self.campaigns.get(cid)
+        if state is None or state.interrupted is not None \
+                or self._dispatch(slot, state, unit):
+            slot.reserved = None
 
     def _dispatch(self, slot, state, unit):
         try:
@@ -976,15 +1103,25 @@ class WorkerFleet:
             return
         pending = [state for state in self.campaigns.values()
                    if not state.finished and state.interrupted is None]
-        if not pending:
-            return
-        self.events["degraded"] += 1
         for state in pending:
             while True:
                 unit = state.scheduler.take()
                 if unit is None:
                     break
-                self._run_unit_inline(state, unit)
+                self._complete_inline(state, unit)
+
+    def _complete_inline(self, state, unit):
+        """Run *unit* inline; the last resort, so its failure fails
+        the campaign, naming every worker failure that led here."""
+        try:
+            self._run_unit_inline(state, unit)
+        except Exception as error:
+            details = "\n".join("worker %d: %s" % failure
+                                for failure in self.failures)
+            raise RuntimeError(
+                "campaign could not self-heal: inline completion of "
+                "unit %s failed after worker failure(s):\n%s"
+                % (unit.unit_id, details)) from error
 
     def _run_unit_inline(self, state, unit):
         from ..analysis.serialize import (quarantined_to_dict,
@@ -1229,7 +1366,7 @@ class WorkerFleet:
 
 
 # ----------------------------------------------------------------------
-# One-shot facade (what the CLI's --workers path uses)
+# One-shot facade (what run_campaign(workers=N) uses)
 
 def run_fleet_campaign(daemon, client_name, client_factory, workers=2,
                        fleet=None, config=None, chaos=None,
@@ -1237,20 +1374,23 @@ def run_fleet_campaign(daemon, client_name, client_factory, workers=2,
                        telemetry=None, **options):
     """Run one campaign on a (possibly shared) warm fleet.
 
-    With ``fleet=None`` a private fleet is started and stopped around
-    the campaign -- the CLI's in-process thin-client path.  Passing an
-    existing started :class:`WorkerFleet` reuses its warm workers (and
-    leaves it running); the service front-end does exactly that.
-    ``deadline``/``graceful_signals`` checkpoint the campaign through
-    :meth:`WorkerFleet.drain`, raising
+    With ``fleet=None`` a private fleet of ``workers`` (or ``config``)
+    runs the campaign and is stopped afterwards -- the path of
+    ``run_campaign(workers=N)``.  A private fleet serves exactly one
+    campaign, so it spreads that campaign over every worker, and
+    without a ``config`` its workers keep one breakpoint session warm,
+    like the serial runner (campaigns visit sites in address order, so
+    a larger cache would hold only sessions never used again).
+    Passing an existing :class:`WorkerFleet` reuses its warm workers
+    (and leaves it running).  ``deadline``/``graceful_signals``
+    checkpoint the campaign through :meth:`WorkerFleet.drain`, raising
     :class:`~repro.injection.runner.CampaignInterrupted`.
     """
     owns = fleet is None
     if fleet is None:
         if config is None:
-            config = FleetConfig(workers=workers)
+            config = FleetConfig(workers=workers, session_capacity=1)
         fleet = WorkerFleet(config, chaos=chaos, telemetry=telemetry)
-        fleet.start()
     stop = {"reason": None}
     restore = (install_stop_handlers(
         lambda name: stop.__setitem__("reason", name))
@@ -1259,6 +1399,7 @@ def run_fleet_campaign(daemon, client_name, client_factory, workers=2,
                    if deadline is not None else None)
     try:
         cid = fleet.submit(daemon, client_name, client_factory,
+                           min_units=fleet.config.workers if owns else 1,
                            **options)
         while not fleet.finished(cid):
             fleet.pump()

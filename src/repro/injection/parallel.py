@@ -1,66 +1,29 @@
-"""Parallel sharded campaign execution.
+"""Shard journals and worker-side daemon reconstruction.
 
-The selective-exhaustive campaigns of Tables 1/3/5 run thousands of
-independent single-bit experiments; on a pure-Python emulator they are
-the dominant wall-clock cost of every benchmark.  Injection analyses
-are embarrassingly parallel over injection points (FastFlip makes the
-same observation), and everything here is deterministic, so the
-experiment list can be sharded across processes with no shared state:
+A parallel campaign (:mod:`repro.injection.fleet`) journals one
+``<journal>.shardK`` JSONL file per worker.  This module holds what
+every reader of that format shares -- the fleet's resume, ``repro
+status``/``top``/``report`` and the offline loader in
+:mod:`repro.analysis.serialize`:
 
-* the parent enumerates the full point list (the same enumeration a
-  serial run uses) and assigns *whole instructions* to shards
-  round-robin -- all bits of one instruction stay together so each
-  worker keeps the per-instruction ``BreakpointSession`` amortisation;
-* each worker rebuilds its own daemon and golden run from a picklable
-  recipe, then drives its slice through the ordinary fault-tolerant
-  :class:`~repro.injection.runner.CampaignRunner` (isolation,
-  watchdog, retries, quarantine all apply per shard);
-* each worker journals to its own ``<journal>.shardK`` JSONL file;
-  resume merges *every* existing shard file first (so the worker
-  count may change between runs) and only re-runs missing points;
-* the parent merges shard results back into point-enumeration order,
-  so ``counts()``, Tables 1/3/5 and Figure 4 are byte-identical to a
-  serial campaign.
-
-Each worker incarnation reports over its own pipe (a worker killed
-mid-send -- chaos, SIGKILL, OOM -- can tear only its own channel, not
-a shared queue's write lock); every message is tagged
-``(kind, shard, attempt, ...)``: ``hello`` on startup, ``progress``
-ticks per experiment (doubling as heartbeats), one ``done`` payload
-(plain dicts, via :mod:`repro.analysis.serialize`) per shard,
-``checkpoint`` when a SIGTERM'd worker stops at a journal-consistent
-boundary, or ``error`` carrying the traceback.  The parent side is a
-:class:`~repro.injection.supervisor.ShardSupervisor`: crashed or
-wedged workers are respawned from their own journals, shards that
-exhaust their restart budget are completed in degraded mode by the
-survivors (or inline in the parent), and SIGTERM/SIGINT/``deadline``
-checkpoint the whole campaign into a cleanly resumable state.
+* :func:`shard_journal_path` / :func:`discover_shard_journals` name
+  and find the shard files of a base path, for any worker count (so
+  the worker count may change between resumes, and journals written
+  by earlier releases keep resuming);
+* :func:`load_shard_journals` merges them into point-keyed records;
+* :class:`RebuildDaemon` / :func:`default_daemon_factory` are the
+  picklable recipe a worker uses to rebuild the parent's daemon.
 """
 
 from __future__ import annotations
 
 import glob
-import multiprocessing
 import re
-import signal
-import time
-import traceback
 
-from ..apps.common import CONNECTION_INSTRUCTION_BUDGET
-from ..emu.perf import PerfCounters
-from ..obs.metrics import MetricsRegistry, record_supervision_metrics
-from ..obs.sampler import as_sampler, Sampler
-from ..obs.trace import (as_tracer, merge_trace_files,
-                         shard_trace_path, Tracer)
-from .faultmodels import get_fault_model
-from .golden import record_golden
-from .runner import (_point_key, CampaignInterrupted, CampaignJournal,
-                     campaign_timing, CampaignRunner,
-                     declare_campaign_metrics, record_result_metrics,
-                     record_runtime_metrics, validate_journal_meta,
-                     Watchdog, WatchdogConfig)
-from .supervisor import ShardSupervisor, SupervisorConfig
-from .targets import DEFAULT_TARGET_KINDS
+# Profiling harnesses (perfbench/tracing.py) wrap the golden-run entry
+# point by module attribute, so it stays importable from here.
+from .golden import record_golden  # noqa: F401
+from .runner import CampaignJournal
 
 
 # ----------------------------------------------------------------------
@@ -140,560 +103,3 @@ def _record_key(record):
         return key
     from ..analysis.serialize import point_from_dict
     return point_from_dict(record).key
-
-
-# ----------------------------------------------------------------------
-# Sharding
-
-def shard_points(points, workers):
-    """Split *points* into at most *workers* shards, keeping all bits
-    of one instruction in the same shard (preserving the per-shard
-    breakpoint-session amortisation) and distributing instructions
-    round-robin for balance."""
-    from .scheduler import instruction_groups
-    groups = instruction_groups(points)
-    shards = [[] for __ in range(workers)]
-    for index, group in enumerate(groups):
-        shards[index % workers].extend(group)
-    return [shard for shard in shards if shard]
-
-
-# ----------------------------------------------------------------------
-# Worker main
-
-def _shard_worker_main(spec, conn):
-    """Run one shard start-to-finish inside a worker process.
-
-    ``conn`` is the write end of this incarnation's private pipe (one
-    writer per pipe, so a worker killed mid-send can tear only its own
-    channel).  Every outbound message is tagged with the shard's
-    *attempt* number, so the supervisor can discard leftovers from a
-    killed incarnation.  SIGTERM/SIGINT handlers are installed before
-    anything else: fork inherits the parent's handlers (which flag
-    the parent's own supervisor, useless in the child), and the
-    parent's checkpoint drain relies on workers converting SIGTERM
-    into a finish-current-experiment, flush-journal checkpoint.
-    """
-    shard = spec["shard"]
-    attempt = spec.get("attempt", 0)
-
-    def emit(kind, *rest):
-        try:
-            conn.send((kind, shard, attempt) + rest)
-        except (BrokenPipeError, OSError):
-            pass      # supervisor gone; the journal is still flushed
-
-    stop = {"reason": None}
-
-    def request_stop(signum, frame):
-        stop["reason"] = signal.Signals(signum).name
-
-    try:
-        signal.signal(signal.SIGTERM, request_stop)
-        signal.signal(signal.SIGINT, request_stop)
-    except ValueError:
-        pass          # not this process's main thread (test harness)
-    try:
-        from ..analysis.serialize import (quarantined_to_dict,
-                                          result_to_dict)
-        emit("hello")
-        started = time.monotonic()
-        daemon = spec["daemon_factory"]()
-        setup = time.monotonic() - started
-
-        def progress(done, total):
-            # Always emitted: progress ticks double as the liveness
-            # heartbeat the supervisor's wedge detection relies on.
-            emit("progress", done, total)
-
-        tracer = None
-        if spec.get("trace") is not None:
-            # tid = shard + 1 gives every worker its own track under
-            # the parent's (tid 0) in the merged trace.
-            tracer = Tracer(sink=spec["trace"], tid=shard + 1)
-        policy = spec.get("chaos")
-        chaos = (policy.agent(shard, attempt)
-                 if policy is not None else None)
-        # Guest sampling is deterministic per shard (instruction
-        # counts), so each worker runs its own sampler and ships the
-        # profile dict home in the ``done`` payload for the parent to
-        # fold together (the absorb_dict pattern, like metrics).
-        sampler = (Sampler(spec["sample_period"])
-                   if spec.get("sample_period") else None)
-        runner = CampaignRunner(
-            daemon, spec["client_name"], spec["client_factory"],
-            encoding=spec["encoding"], kinds=spec["kinds"],
-            budget=spec["budget"], progress=progress,
-            points=spec["points"], journal=spec["journal"],
-            resume=spec["resume"], retries=spec["retries"],
-            watchdog=Watchdog(spec["watchdog_config"]),
-            fault_model=spec.get("fault_model"),
-            trace=tracer, forensics=spec.get("forensics", False),
-            trace_root="shard", trace_attrs={"shard": shard},
-            stop_check=lambda: stop["reason"],
-            journal_fsync=spec.get("journal_fsync"),
-            journal_salvage=spec.get("journal_salvage", False),
-            chaos=chaos,
-            full_restore=spec.get("full_restore", False),
-            prune=spec.get("prune", False),
-            audit_fraction=spec.get("audit_fraction", 0.0),
-            audit_seed=spec.get("audit_seed", 0),
-            sampler=sampler)
-        campaign = runner.run()
-        timing = dict(campaign.timing or {})
-        timing.update(shard=shard, setup=setup,
-                      points=len(spec["points"]))
-        emit("done", {
-            "results": [result_to_dict(result)
-                        for result in campaign.results],
-            "quarantined": [quarantined_to_dict(entry)
-                            for entry in campaign.quarantined],
-            "timing": timing,
-            "metrics": campaign.metrics,
-            "profile": (sampler.as_dict()
-                        if sampler is not None else None),
-        })
-    except CampaignInterrupted as interrupted:
-        emit("checkpoint", interrupted.completed)
-    except BaseException:
-        emit("error", traceback.format_exc())
-    finally:
-        conn.close()
-
-
-# ----------------------------------------------------------------------
-# The parent runner
-
-class ParallelCampaignRunner:
-    """Shards one selective-exhaustive campaign across N processes.
-
-    Construction mirrors :func:`repro.injection.campaign.run_campaign`
-    plus ``workers`` and an optional ``daemon_factory`` (any picklable
-    zero-argument callable; defaults to rebuilding ``type(daemon)``
-    with the parent's database/files).
-    """
-
-    def __init__(self, daemon, client_name, client_factory, workers=2,
-                 encoding=None, kinds=DEFAULT_TARGET_KINDS,
-                 budget=CONNECTION_INSTRUCTION_BUDGET, progress=None,
-                 max_points=None, ranges=None, journal=None,
-                 resume=False, retries=0, watchdog=None,
-                 daemon_factory=None, fault_model=None, trace=None,
-                 metrics=None, forensics=False, deadline=None,
-                 graceful_signals=False, journal_fsync=None,
-                 journal_salvage=False, chaos=None, supervisor=None,
-                 full_restore=False, prune=False, audit_fraction=0.0,
-                 audit_seed=0, telemetry=None, telemetry_campaign=None,
-                 sampler=None, profile=None):
-        from .campaign import ENCODING_OLD
-        if workers < 1:
-            raise ValueError("workers must be >= 1, got %r" % workers)
-        self.daemon = daemon
-        self.client_name = client_name
-        self.client_factory = client_factory
-        self.workers = workers
-        self.encoding = encoding if encoding is not None else ENCODING_OLD
-        self.model = get_fault_model(fault_model)
-        self.kinds = kinds
-        self.budget = budget
-        self.progress = progress
-        self.max_points = max_points
-        self.ranges = ranges
-        self.journal_path = journal
-        self.resume = resume
-        self.retries = retries
-        if isinstance(watchdog, Watchdog):
-            self.watchdog_config = watchdog.config
-        else:
-            self.watchdog_config = (watchdog if watchdog is not None
-                                    else WatchdogConfig())
-        self.daemon_factory = (daemon_factory if daemon_factory
-                               is not None
-                               else default_daemon_factory(daemon))
-        #: observability: ``trace`` is normally a sink *path* (each
-        #: worker writes ``<trace>.shardK``; the parent merges them in
-        #: shard order, like journals).  A :class:`Tracer` instance is
-        #: accepted for the parent's own spans, but tracers do not
-        #: cross process boundaries, so workers then emit nothing.
-        #: ``metrics`` is a registry sink path; ``forensics`` passes
-        #: through to every shard runner.
-        self.trace_path = (None if trace is None
-                           or isinstance(trace, Tracer) else str(trace))
-        if self.trace_path is not None:
-            # The parent's own spans stay in memory; the sink path is
-            # written once at the end, as the merge of parent + shard
-            # events (so the file is always one loadable trace).
-            self.tracer = Tracer(sink=None)
-        else:
-            self.tracer = as_tracer(trace)
-        self.metrics_path = metrics
-        self.forensics = forensics
-        #: resilience: ``deadline``/``graceful_signals`` trigger the
-        #: supervisor's checkpoint shutdown; ``journal_fsync``/
-        #: ``journal_salvage`` pass through to shard journals;
-        #: ``chaos`` is a :class:`~repro.injection.chaos.ChaosPolicy`;
-        #: ``supervisor`` a :class:`SupervisorConfig` override.
-        self.deadline = deadline
-        self.graceful_signals = graceful_signals
-        self.journal_fsync = journal_fsync
-        self.journal_salvage = journal_salvage
-        self.chaos = chaos
-        self.supervisor_config = (supervisor if supervisor is not None
-                                  else SupervisorConfig())
-        #: snapshot-restore escape hatch, forwarded to every shard's
-        #: runner (and to inline degraded completions).
-        self.full_restore = full_restore
-        #: equivalence-class pruning, forwarded likewise.  Sharding
-        #: keeps whole instructions together (`shard_points`), sites
-        #: never straddle shards, and class membership is a property
-        #: of one site's points -- so every equivalence class lands
-        #: intact inside exactly one shard and the pruned parallel
-        #: merge stays byte-identical to a pruned serial run.  The
-        #: audit sample is keyed on content-derived class ids, so it
-        #: is the same set of classes at any worker count.
-        self.prune = prune
-        self.audit_fraction = audit_fraction
-        self.audit_seed = audit_seed
-        #: telemetry: parent-level campaign events (workers report
-        #: over their pipes; the parent is the only emitter so
-        #: per-campaign sequence numbers stay contiguous).  ``sampler``
-        #: seeds one parent sampler whose period every shard copies;
-        #: shard profiles fold back into it and ``profile`` saves the
-        #: merged result.
-        self.telemetry = telemetry
-        self.telemetry_campaign = telemetry_campaign
-        self.profile_path = profile
-        if sampler is None and profile is not None:
-            sampler = Sampler()
-        self.sampler = as_sampler(sampler)
-        self._supervision = None
-
-    # -- public entry point --------------------------------------------
-
-    def run(self):
-        try:
-            with self.tracer.span("campaign",
-                                  workers=self.workers) as span:
-                campaign, shard_count = self._run_traced()
-                span.set("experiments", len(campaign.results))
-                span.set("shards", shard_count)
-            return campaign
-        except CampaignInterrupted as interrupted:
-            self._emit("checkpoint", reason=interrupted.reason,
-                       completed=interrupted.completed)
-            raise
-        finally:
-            # Flush even on a checkpoint exit (CampaignInterrupted):
-            # an interrupted campaign still leaves a loadable merged
-            # trace and a metrics dump with its supervision counters.
-            self._flush_observability()
-
-    def _flush_observability(self):
-        supervision = self._supervision
-        if self.trace_path is not None:
-            shard_indices = (supervision.report.shard_indices
-                             if supervision is not None
-                             and supervision.report is not None
-                             else [])
-            merge_trace_files(
-                self.trace_path, self.tracer.events(),
-                [shard_trace_path(self.trace_path, shard)
-                 for shard in shard_indices])
-        else:
-            self.tracer.close()
-        if self.metrics_path is not None:
-            registry = getattr(self, "registry", None)
-            if registry is None:
-                # Interrupted before the merge: save at least the
-                # declared instruments plus the supervision counters.
-                registry = declare_campaign_metrics(MetricsRegistry())
-                if supervision is not None:
-                    record_supervision_metrics(registry,
-                                               supervision.events)
-            registry.save(self.metrics_path)
-        if self.profile_path is not None and self.sampler is not None:
-            self.sampler.save(self.profile_path)
-
-    def _emit(self, type, **payload):
-        if self.telemetry is not None:
-            self.telemetry.emit(type, campaign=self.telemetry_campaign,
-                                **payload)
-
-    def _run_traced(self):
-        from ..analysis.serialize import (quarantined_from_dict,
-                                          result_from_dict)
-        from .campaign import CampaignResult
-        started = time.monotonic()
-        with self.tracer.span("golden-run") as span:
-            if self.sampler is not None:
-                with self.sampler.host_phase("golden-run"):
-                    golden = record_golden(self.daemon,
-                                           self.client_factory,
-                                           self.budget)
-            else:
-                golden = record_golden(self.daemon,
-                                       self.client_factory,
-                                       self.budget)
-            span.set("coverage_eips", len(golden.coverage))
-        self._emit("golden", reused=False,
-                   coverage_eips=len(golden.coverage))
-        points = self._enumerate()
-        self._emit("campaign-started", points=len(points),
-                   workers=self.workers)
-        order = {_point_key(point): index
-                 for index, point in enumerate(points)}
-        done_results, done_quarantined = self._load_resume(order)
-        remaining = [point for point in points
-                     if _point_key(point) not in done_results
-                     and _point_key(point) not in done_quarantined]
-        shards = shard_points(remaining, self.workers)
-        payloads = self._run_shards(shards, len(points),
-                                    len(done_results)
-                                    + len(done_quarantined))
-        if self.sampler is not None:
-            with self.sampler.host_phase("merge"):
-                for payload in payloads:       # shard order
-                    self.sampler.absorb_dict(payload.get("profile"))
-        results = dict(done_results)
-        quarantined = dict(done_quarantined)
-        for payload in payloads:
-            for record in payload["results"]:
-                key = _record_key(record)
-                # salvaged journals may carry stale keys from an older
-                # run sharing the path; only enumerated points count.
-                if key in order:
-                    results[key] = record
-            for record in payload["quarantined"]:
-                key = _point_key(self._quarantine_point(record))
-                if key in order:
-                    quarantined[key] = record
-        campaign = CampaignResult(daemon_name=type(self.daemon).__name__,
-                                  client_name=self.client_name,
-                                  encoding=self.encoding,
-                                  fault_model=self.model.name,
-                                  golden=golden)
-        campaign.results = [
-            result_from_dict(results[key])
-            for key in sorted(results, key=order.__getitem__)]
-        campaign.quarantined = [
-            quarantined_from_dict(quarantined[key])
-            for key in sorted(quarantined, key=order.__getitem__)]
-        # Aggregate counters: the parent's golden run plus every
-        # shard's campaign-wide counters (each already includes the
-        # shard's own golden run).
-        perf = PerfCounters()
-        perf.absorb_dict(golden.perf)
-        for payload in payloads:
-            perf.absorb_dict(payload["timing"].get("perf"))
-        wall_clock = time.monotonic() - started
-        executed = sum(payload["timing"].get("executed", 0)
-                       for payload in payloads)
-        campaign.timing = campaign_timing(
-            wall_clock=wall_clock,
-            experiments=len(campaign.results)
-            + len(campaign.quarantined),
-            executed=executed,
-            workers=max(1, len(shards)),
-            shards=sorted((payload["timing"] for payload in payloads),
-                          key=lambda timing: timing["shard"]),
-            perf=perf.as_dict())
-        self._merge_metrics(campaign, payloads, done_results,
-                            done_quarantined, order, len(points),
-                            golden, wall_clock, executed,
-                            max(1, len(shards)))
-        if self.telemetry is not None:
-            self.telemetry.emit_outcomes(self.telemetry_campaign,
-                                         campaign.results)
-        self._emit("campaign-finished", counts=campaign.counts(),
-                   quarantined=len(campaign.quarantined))
-        return campaign, len(shards)
-
-    def _merge_metrics(self, campaign, payloads, done_results,
-                       done_quarantined, order, total_points, golden,
-                       wall_clock, executed, workers):
-        """Aggregate shard metric registries exactly (the
-        ``absorb_dict`` pattern), then account for what only the
-        parent saw: records it resumed from shard journals itself and
-        its own golden run.  The deterministic section comes out
-        identical to a serial run's; the parent's wall clock and
-        worker count overwrite the shard-local volatile gauges."""
-        from ..analysis.serialize import result_from_dict
-        registry = declare_campaign_metrics(MetricsRegistry())
-        for payload in payloads:                # shard order
-            registry.absorb_dict(payload.get("metrics"))
-        for key in sorted(done_results, key=order.__getitem__):
-            record_result_metrics(
-                registry, result_from_dict(done_results[key]))
-        registry.counter("runtime.resumed", volatile=True).inc(
-            len(done_results) + len(done_quarantined))
-        registry.counter("quarantined").inc(len(done_quarantined))
-        registry.gauge("points").set(total_points)
-        registry.counter("runtime.golden_runs", volatile=True).inc()
-        parent_perf = PerfCounters()
-        parent_perf.absorb_dict(golden.perf)
-        record_runtime_metrics(registry, wall_clock, executed,
-                               perf=parent_perf.as_dict(),
-                               workers=workers)
-        if self._supervision is not None:
-            record_supervision_metrics(registry,
-                                       self._supervision.events)
-        self.registry = registry
-        campaign.metrics = registry.as_dict()
-
-    # -- enumeration / resume ------------------------------------------
-
-    def _enumerate(self):
-        """The exact experiment list a serial run would use."""
-        ranges = (self.ranges if self.ranges is not None
-                  else self.daemon.auth_ranges())
-        points = self.model.enumerate_points(self.daemon.module,
-                                             ranges, self.kinds)
-        if self.max_points is not None:
-            points = points[:self.max_points]
-        return points
-
-    def _load_resume(self, order):
-        """Already-completed records from every existing shard file
-        (any previous worker count), restricted to known points."""
-        if not (self.resume and self.journal_path is not None):
-            return {}, {}
-        paths = discover_shard_journals(self.journal_path)
-        metas, results, quarantined = load_shard_journals(
-            paths, strict=not self.journal_salvage)
-        expected = self._meta()
-        for meta in metas:
-            validate_journal_meta(meta, expected, self.journal_path)
-        results = {key: record for key, record in results.items()
-                   if key in order}
-        quarantined = {key: record
-                       for key, record in quarantined.items()
-                       if key in order}
-        return results, quarantined
-
-    def _meta(self):
-        return {"daemon": type(self.daemon).__name__,
-                "client": self.client_name, "encoding": self.encoding,
-                "model": self.model.name, "budget": self.budget}
-
-    @staticmethod
-    def _quarantine_point(record):
-        from ..analysis.serialize import point_from_dict
-        return point_from_dict(record["point"])
-
-    # -- process management --------------------------------------------
-
-    def _context(self):
-        # fork is both the fastest start and the most permissive about
-        # what a spec may carry (locally defined daemon classes in
-        # tests); fall back to the platform default elsewhere.
-        methods = multiprocessing.get_all_start_methods()
-        if "fork" in methods:
-            return multiprocessing.get_context("fork")
-        return multiprocessing.get_context()
-
-    def _spec(self, shard, points, attempt=0):
-        journal = None
-        if self.journal_path is not None:
-            journal = shard_journal_path(self.journal_path, shard)
-        return {
-            "shard": shard,
-            "attempt": attempt,
-            "points": points,
-            "client_name": self.client_name,
-            "client_factory": self.client_factory,
-            "encoding": self.encoding,
-            "kinds": self.kinds,
-            "budget": self.budget,
-            "journal": journal,
-            # resume so an existing shard file is appended to (and its
-            # meta validated) instead of truncated; a respawned worker
-            # (attempt > 0) must always resume its own journal so
-            # already-completed points are never re-run.
-            "resume": self.resume or attempt > 0,
-            "retries": self.retries,
-            "watchdog_config": self.watchdog_config,
-            "daemon_factory": self.daemon_factory,
-            # model instances are tiny module-level objects, picklable
-            # under any start method.
-            "fault_model": self.model,
-            "trace": (shard_trace_path(self.trace_path, shard)
-                      if self.trace_path is not None else None),
-            "forensics": self.forensics,
-            "journal_fsync": self.journal_fsync,
-            "journal_salvage": self.journal_salvage,
-            "chaos": self.chaos,
-            "full_restore": self.full_restore,
-            "prune": self.prune,
-            "audit_fraction": self.audit_fraction,
-            "audit_seed": self.audit_seed,
-            "sample_period": (self.sampler.period
-                              if self.sampler is not None else None),
-        }
-
-    def _run_shards(self, shards, total_points, resumed_points):
-        if not shards:
-            return []
-        supervisor = ShardSupervisor(self, shards,
-                                     total_points=total_points,
-                                     resumed_points=resumed_points,
-                                     config=self.supervisor_config)
-        report = supervisor.run()
-        return report.payloads
-
-    def _run_inline(self, shard, points, stop_check=None,
-                    session_cache=None):
-        """Last-resort degraded completion: run *points* in the parent
-        process with its already-working daemon (no factory, no fork).
-        Returns a worker-shaped ``done`` payload.  ``session_cache``
-        (supervisor-owned) lets successive inline completions reuse
-        breakpoint sessions for sites they share."""
-        journal = None
-        if self.journal_path is not None:
-            journal = shard_journal_path(self.journal_path, shard)
-        tracer = None
-        if self.trace_path is not None:
-            tracer = Tracer(sink=shard_trace_path(self.trace_path,
-                                                  shard),
-                            tid=shard + 1)
-        from ..analysis.serialize import (quarantined_to_dict,
-                                          result_to_dict)
-        runner = CampaignRunner(
-            self.daemon, self.client_name, self.client_factory,
-            encoding=self.encoding, kinds=self.kinds,
-            budget=self.budget,
-            points=points, journal=journal, resume=self.resume,
-            retries=self.retries,
-            watchdog=Watchdog(self.watchdog_config),
-            fault_model=self.model, trace=tracer,
-            forensics=self.forensics, trace_root="shard",
-            trace_attrs={"shard": shard, "inline": True},
-            stop_check=stop_check,
-            journal_fsync=self.journal_fsync, journal_salvage=True,
-            full_restore=self.full_restore,
-            prune=self.prune, audit_fraction=self.audit_fraction,
-            audit_seed=self.audit_seed,
-            session_cache=session_cache,
-            # inline completions run in the parent, so they feed the
-            # parent's sampler directly (no profile payload to merge).
-            sampler=self.sampler)
-        campaign = runner.run()
-        timing = dict(campaign.timing or {})
-        timing.update(shard=shard, setup=0.0, points=len(points),
-                      inline=True)
-        return {
-            "results": [result_to_dict(result)
-                        for result in campaign.results],
-            "quarantined": [quarantined_to_dict(entry)
-                            for entry in campaign.quarantined],
-            "timing": timing,
-            "metrics": campaign.metrics,
-        }
-
-
-def run_parallel_campaign(daemon, client_name, client_factory,
-                          workers=2, **kwargs):
-    """Functional facade over :class:`ParallelCampaignRunner`."""
-    runner = ParallelCampaignRunner(daemon, client_name,
-                                    client_factory, workers=workers,
-                                    **kwargs)
-    return runner.run()

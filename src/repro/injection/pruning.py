@@ -124,7 +124,7 @@ def class_is_audited(class_id, fraction, seed=0):
     """Deterministic, partition-independent audit selection.
 
     Hashing the (seed, class_id) pair rather than counting classes
-    makes the choice identical for serial and sharded campaigns and
+    makes the choice identical for serial and parallel campaigns and
     stable under resume.
     """
     if fraction <= 0:
@@ -325,7 +325,7 @@ class SitePlan:
     site, because branch resolution and the unimplemented-mnemonic
     check need the live snapshot (materialized EFLAGS, dispatch
     table).  The snapshot state at a site is deterministic, so sealing
-    is too -- serial and sharded campaigns derive identical classes.
+    is too -- serial and parallel campaigns derive identical classes.
     """
 
     address: int

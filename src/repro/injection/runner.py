@@ -270,12 +270,12 @@ def campaign_timing(wall_clock, experiments, executed, workers=1,
 
 
 # ----------------------------------------------------------------------
-# Metrics plumbing (shared by the serial and parallel runners so the
+# Metrics plumbing (shared by the serial runner and the fleet so the
 # deterministic section is identical for every worker count)
 
 def declare_campaign_metrics(registry):
     """Pre-declare the deterministic campaign instruments so every
-    registry -- serial, shard, parallel parent -- carries the same
+    registry -- serial, work unit, fleet parent -- carries the same
     key set even at zero counts."""
     registry.counter("experiments")
     registry.counter("activated")
@@ -317,6 +317,22 @@ def record_runtime_metrics(registry, wall_clock, executed, perf=None,
 
 # ----------------------------------------------------------------------
 # JSONL journal
+
+def record_golden_traced(daemon, client_factory, budget, tracer,
+                         sampler=None):
+    """The cold-path reference run under a ``golden-run`` span, with
+    its host wall clock attributed to the profiler's ``golden-run``
+    phase when a sampler is attached (shared by the serial runner and
+    the fleet parent)."""
+    with tracer.span("golden-run") as span:
+        if sampler is None:
+            golden = record_golden(daemon, client_factory, budget)
+        else:
+            with sampler.host_phase("golden-run"):
+                golden = record_golden(daemon, client_factory, budget)
+        span.set("coverage_eips", len(golden.coverage))
+    return golden
+
 
 def _point_key(point):
     """Journal/resume identity: every fault model's point class
@@ -758,9 +774,10 @@ class CampaignRunner:
             self.registry.counter("runtime.golden_reused",
                                   volatile=True).inc()
         else:
-            with self.tracer.span("golden-run") as span:
-                golden = self._record_golden()
-                span.set("coverage_eips", len(golden.coverage))
+            golden = record_golden_traced(self.daemon,
+                                          self.client_factory,
+                                          self.budget, self.tracer,
+                                          self.sampler)
             self._perf.absorb_dict(golden.perf)
             self.registry.counter("runtime.golden_runs",
                                   volatile=True).inc()
@@ -854,17 +871,6 @@ class CampaignRunner:
                       type(self.daemon).__name__, self.client_name,
                       len(campaign.results), wall_clock)
         return campaign
-
-    def _record_golden(self):
-        """The cold-path reference run, with its host wall clock
-        attributed to the profiler's ``golden-run`` phase when one is
-        attached."""
-        if self.sampler is None:
-            return record_golden(self.daemon, self.client_factory,
-                                 self.budget)
-        with self.sampler.host_phase("golden-run"):
-            return record_golden(self.daemon, self.client_factory,
-                                 self.budget)
 
     # -- journal plumbing ----------------------------------------------
 

@@ -1,11 +1,10 @@
 """Work-unit scheduling for campaign execution.
 
-The static whole-instruction sharding in
-:mod:`repro.injection.parallel` fixes the work assignment up front:
-shard K owns every K-th instruction group for the whole campaign, so
-one slow shard (an instruction whose sessions are expensive, a worker
-sharing a busy core) sets the campaign's wall clock.  This module
-extracts the assignment decision into an explicit scheduling layer:
+A static assignment (worker K owns every K-th instruction for the
+whole campaign) lets one slow worker -- an instruction whose sessions
+are expensive, a worker sharing a busy core -- set the campaign's
+wall clock.  This module makes the assignment decision an explicit
+scheduling layer instead:
 
 * the enumerated experiment list is cut into :class:`WorkUnit`\\ s of a
   few *whole instructions* each (all bits of one instruction stay
@@ -22,10 +21,10 @@ extracts the assignment decision into an explicit scheduling layer:
   dead worker's journal and requeued.
 
 The scheduler is deliberately process-free pure logic: the fleet
-(:mod:`repro.injection.fleet`) and the one-shot parallel runner are
-transport layers around it, and the determinism property ("any
-interleaving of unit completions merges to the same journal bytes as
-serial") is tested directly against this class without an emulator.
+(:mod:`repro.injection.fleet`) is the transport layer around it, and
+the determinism property ("any interleaving of unit completions
+merges to the same journal bytes as serial") is tested directly
+against this class without an emulator.
 """
 
 from __future__ import annotations
@@ -74,16 +73,27 @@ class WorkUnit:
 
 
 def build_units(points, unit_instructions=UNIT_INSTRUCTIONS,
-                first_index=0):
+                first_index=0, min_units=1):
     """Cut *points* into :class:`WorkUnit`\\ s of at most
-    ``unit_instructions`` whole instructions, in enumeration order."""
+    ``unit_instructions`` whole instructions, in enumeration order.
+
+    When that gives fewer than ``min_units`` units, the instructions
+    are spread over ``min_units`` units instead (one per instruction
+    if there are fewer), whose sizes differ by at most one -- so a
+    small campaign still reaches every worker of a fleet."""
     if unit_instructions < 1:
         raise ValueError("unit_instructions must be >= 1, got %r"
                          % unit_instructions)
     units = []
     groups = instruction_groups(points)
-    for offset in range(0, len(groups), unit_instructions):
-        chunk = groups[offset:offset + unit_instructions]
+    starts = list(range(0, len(groups), unit_instructions))
+    wanted = min(min_units, len(groups))
+    if len(starts) < wanted:
+        step, extra = divmod(len(groups), wanted)
+        starts = [index * step + min(index, extra)
+                  for index in range(wanted)]
+    for offset, end in zip(starts, starts[1:] + [len(groups)]):
+        chunk = groups[offset:end]
         index = first_index + len(units)
         units.append(WorkUnit(
             unit_id="u%05d" % index, index=index,
@@ -126,9 +136,11 @@ class CampaignScheduler:
     *order*.
     """
 
-    def __init__(self, points, unit_instructions=UNIT_INSTRUCTIONS):
+    def __init__(self, points, unit_instructions=UNIT_INSTRUCTIONS,
+                 min_units=1):
         self.points = list(points)
         self.unit_instructions = unit_instructions
+        self.min_units = min_units
         self.order = {_point_key(point): index
                       for index, point in enumerate(self.points)}
         self.results = {}
@@ -161,7 +173,8 @@ class CampaignScheduler:
     def _build(self):
         remaining = [point for point in self.points
                      if _point_key(point) not in self.resumed]
-        for unit in build_units(remaining, self.unit_instructions):
+        for unit in build_units(remaining, self.unit_instructions,
+                                min_units=self.min_units):
             self._units[unit.unit_id] = _UnitState(unit)
             self._queue.append(unit.unit_id)
         self._next_index = len(self._units)
@@ -215,6 +228,16 @@ class CampaignScheduler:
         unit at the *front* of the queue, so salvaged work finishes
         before new work starts.  Returns the replacement unit, or
         ``None`` when every point of the unit is already covered."""
+        replacement = self.remainder(unit)
+        if replacement is not None:
+            self.push(replacement)
+        return replacement
+
+    def remainder(self, unit):
+        """Close *unit* and register its uncovered points as a fresh
+        unit (inheriting the attempt count) without queueing it -- the
+        caller dispatches it directly or :meth:`push`\\ es it later.
+        Returns ``None`` when every point is already covered."""
         state = self._units[unit.unit_id]
         state.done = True
         state.taken = False
@@ -229,8 +252,11 @@ class CampaignScheduler:
         self._next_index += 1
         self._units[replacement.unit_id] = _UnitState(
             replacement, attempts=state.attempts)
-        self._queue.appendleft(replacement.unit_id)
         return replacement
+
+    def push(self, unit):
+        """Queue a registered unit at the front."""
+        self._queue.appendleft(unit.unit_id)
 
     def attempts(self, unit):
         state = self._units.get(unit.unit_id)

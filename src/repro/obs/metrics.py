@@ -146,7 +146,7 @@ class Histogram:
 def record_supervision_metrics(registry, events):
     """Fold a supervision run's event counts (respawns, wedge kills,
     degraded transitions, checkpoints; see
-    :data:`repro.injection.supervisor.EVENT_NAMES`) into *registry* as
+    :data:`repro.injection.fleet.EVENT_NAMES`) into *registry* as
     ``supervisor.<event>`` counters.  Volatile by definition: they
     measure the run's failure history, not the campaign spec -- a
     chaos-recovered campaign and an undisturbed one still agree on the

@@ -9,6 +9,9 @@ run of the same campaign.
 
 from __future__ import annotations
 
+import os
+import time
+
 import pytest
 
 from repro.apps.ftpd import client1
@@ -16,7 +19,7 @@ from repro.injection import (CampaignInterrupted, ChaosAction,
                              ChaosPolicy, FleetConfig,
                              run_campaign, run_fleet_campaign,
                              WorkerFleet)
-from repro.injection.fleet import BUSY
+from repro.injection.fleet import backoff_delay, BUSY
 
 SLICE = 40
 
@@ -54,6 +57,15 @@ def counters(campaign):
     return campaign.metrics["volatile"]["counters"]
 
 
+def _running(pid):
+    """Whether *pid* is a live (not exited or zombie) process."""
+    try:
+        with open("/proc/%d/stat" % pid) as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
 # ----------------------------------------------------------------------
 # Equivalence
 
@@ -82,6 +94,27 @@ class TestFleetEquivalence:
             units.extend(report.units)
         assert units, "no unit markers in any shard journal"
         assert all(marker.get("records", 0) >= 1 for marker in units)
+
+    def test_fresh_run_discards_stale_shard_journals(self, ftp_daemon,
+                                                     tmp_path):
+        # a fresh (non-resume) campaign on a path holding an older
+        # campaign's shard files must start them empty, as the serial
+        # runner truncates its journal -- not fail every unit on the
+        # stale meta and fall back to running inline in the parent
+        base = tmp_path / "run.jsonl"
+        run_fleet_campaign(ftp_daemon, "Client1", client1,
+                           config=fast_config(), max_points=SLICE,
+                           journal=base)
+        serial = run_campaign(ftp_daemon, "Client1", client1,
+                              max_points=16, fault_model="register-bit")
+        campaign = run_fleet_campaign(
+            ftp_daemon, "Client1", client1, config=fast_config(),
+            max_points=16, fault_model="register-bit", journal=base)
+        assert_identical(campaign, serial)
+        assert deterministic_core(campaign) == deterministic_core(serial)
+        volatile = counters(campaign)
+        assert volatile["supervisor.worker_errors"] == 0
+        assert volatile["supervisor.inline_points"] == 0
 
     def test_resume_from_fleet_journal(self, ftp_daemon, tmp_path,
                                        serial_campaign):
@@ -186,6 +219,40 @@ class TestFleetSupervision:
         assert volatile["supervisor.inline_points"] >= 1
         assert deterministic_core(campaign) \
             == deterministic_core(serial_campaign)
+
+    def test_backoff_delay_is_capped_exponential(self):
+        config = fast_config()
+        delays = [backoff_delay(config, n) for n in range(1, 6)]
+        assert delays[0] == config.backoff_base
+        assert all(later >= earlier for earlier, later
+                   in zip(delays, delays[1:]))
+        assert max(delays) <= config.backoff_cap
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"),
+                        reason="reads process state from /proc")
+    def test_idle_workers_exit_when_the_parent_dies(self):
+        # a parent killed without stopping its fleet must not leave
+        # its idle workers polling forever
+        import multiprocessing
+        context = multiprocessing.get_context("fork")
+        reader, writer = context.Pipe(duplex=False)
+
+        def doomed_parent():
+            fleet = WorkerFleet(fast_config())
+            fleet.start()
+            writer.send([slot.process.pid
+                         for slot in fleet.slots.values()])
+            os._exit(0)
+
+        process = context.Process(target=doomed_parent)
+        process.start()
+        assert reader.poll(30.0), "fleet never started"
+        pids = reader.recv()
+        process.join(30.0)
+        deadline = time.monotonic() + 10.0
+        while any(map(_running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_running, pids))
 
     def test_torn_pipe_while_busy_counts_pipe_error(self):
         # a worker killed mid-send tears its channel: the parent must

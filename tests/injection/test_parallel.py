@@ -1,5 +1,6 @@
-"""Parallel sharded campaigns: serial/parallel equivalence, shard
-journals, resume across worker counts, and worker fault surfacing."""
+"""Parallel campaigns (``run_campaign(workers=N)`` on a private warm
+fleet): serial/parallel equivalence, shard journals, resume across
+worker counts, and worker fault surfacing."""
 
 from __future__ import annotations
 
@@ -9,59 +10,12 @@ import pytest
 
 from repro.analysis import (build_table1, campaign_from_shard_journals)
 from repro.apps.ftpd import client1
-from repro.injection import (JournalError, run_campaign, shard_points,
-                             SupervisorConfig)
+from repro.injection import FleetConfig, JournalError, run_campaign
 from repro.injection.parallel import (default_daemon_factory,
                                       discover_shard_journals,
                                       shard_journal_path)
-from repro.injection.targets import InjectionPoint
 
 SLICE = 96
-
-
-def make_point(address, byte_offset=0, bit=0):
-    return InjectionPoint(instruction_address=address,
-                          byte_offset=byte_offset, bit=bit,
-                          instruction_length=2, mnemonic="je",
-                          opcode=0x74, kind="cond_branch")
-
-
-# ----------------------------------------------------------------------
-# Sharding (pure function)
-
-class TestShardPoints:
-    def points(self, instructions=7, bits=4):
-        return [make_point(0x1000 + 0x10 * i, byte_offset=b // 8,
-                           bit=b % 8)
-                for i in range(instructions) for b in range(bits)]
-
-    def test_partition_is_exact(self):
-        points = self.points()
-        shards = shard_points(points, 3)
-        flattened = [p for shard in shards for p in shard]
-        assert sorted(flattened, key=lambda p: (p.instruction_address,
-                                                p.byte_offset, p.bit)) \
-            == points
-
-    def test_instruction_bits_stay_together(self):
-        # all bits of one instruction must land in the same shard so
-        # the worker keeps its BreakpointSession amortisation
-        shards = shard_points(self.points(), 3)
-        owner = {}
-        for index, shard in enumerate(shards):
-            for point in shard:
-                owner.setdefault(point.instruction_address,
-                                 set()).add(index)
-        assert all(len(owners) == 1 for owners in owner.values())
-
-    def test_more_workers_than_instructions(self):
-        points = self.points(instructions=2)
-        shards = shard_points(points, 8)
-        assert len(shards) == 2
-        assert sum(len(shard) for shard in shards) == len(points)
-
-    def test_empty(self):
-        assert shard_points([], 4) == []
 
 
 # ----------------------------------------------------------------------
@@ -175,15 +129,15 @@ class TestShardJournals:
     def test_complete_journals_rerun_nothing(self, ftp_daemon,
                                              tmp_path, monkeypatch):
         full = self.run_parallel(ftp_daemon, tmp_path)
-        import repro.injection.parallel as parallel_module
+        import repro.injection.fleet as fleet_module
 
-        def forbidden(spec, queue):
+        def forbidden(*args):
             raise AssertionError("all points journaled; no worker "
                                  "should run")
 
         # a fully-journaled resume spawns no workers at all, so the
         # worker entry point must never be invoked
-        monkeypatch.setattr(parallel_module, "_shard_worker_main",
+        monkeypatch.setattr(fleet_module, "_fleet_worker_main",
                             forbidden)
         resumed = self.run_parallel(ftp_daemon, tmp_path, resume=True)
         assert resumed.counts(refined=True) == full.counts(refined=True)
@@ -201,8 +155,8 @@ class TestShardJournals:
 # ----------------------------------------------------------------------
 # Fault surfacing and daemon reconstruction
 
-FAST_SUPERVISOR = SupervisorConfig(max_restarts=0, backoff_base=0.05,
-                                   poll_interval=0.05, dead_grace=0.2)
+FAST_SUPERVISOR = FleetConfig(max_restarts=0, backoff_base=0.05,
+                              poll_interval=0.05, dead_grace=0.2)
 
 
 class TestWorkerFaults:
@@ -236,8 +190,8 @@ class TestWorkerFaults:
         def broken_inline(self, shard, points, stop_check=None):
             raise RuntimeError("inline fallback broken too")
 
-        from repro.injection.parallel import ParallelCampaignRunner
-        monkeypatch.setattr(ParallelCampaignRunner, "_run_inline",
+        from repro.injection.fleet import WorkerFleet
+        monkeypatch.setattr(WorkerFleet, "_run_unit_inline",
                             broken_inline)
         with pytest.raises(RuntimeError) as excinfo:
             run_campaign(ftp_daemon, "Client1", client1,

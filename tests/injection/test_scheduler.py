@@ -69,6 +69,23 @@ class TestBuildUnits:
         assert len(groups) == 3
         assert all(len(group) == 2 for group in groups)
 
+    def test_min_units_spreads_only_small_campaigns(self):
+        # 4 instructions fit one 4-instruction unit; three workers
+        # want three units, sizes differing by at most one
+        points = make_points(sites=4)
+        units = build_units(points, unit_instructions=4, min_units=3)
+        sizes = [len({p.instruction_address for p in unit.points})
+                 for unit in units]
+        assert sizes == [2, 1, 1]
+        assert [p.key for unit in units for p in unit.points] \
+            == [p.key for p in points]
+        # never more units than instructions
+        assert len(build_units(make_points(sites=2), min_units=5)) == 2
+        # enough units already: the usual cut is kept
+        points = make_points(sites=10)
+        assert [len(unit) for unit in build_units(
+            points, unit_instructions=4, min_units=2)] == [16, 16, 8]
+
     def test_rejects_bad_unit_size(self):
         with pytest.raises(ValueError):
             build_units(make_points(2), unit_instructions=0)

@@ -19,8 +19,8 @@ import pytest
 from repro.apps.ftpd import client1
 from repro.injection import (CampaignInterrupted, CampaignJournal,
                              ChaosAction, ChaosPolicy,
-                             corrupt_journal_tail, JournalError,
-                             run_campaign, SupervisorConfig)
+                             corrupt_journal_tail, FleetConfig,
+                             JournalError, run_campaign)
 
 SLICE = 40
 
@@ -30,7 +30,7 @@ FAST = dict(backoff_base=0.05, backoff_cap=0.2, poll_interval=0.05,
 
 
 def fast_config(**overrides):
-    return SupervisorConfig(**{**FAST, **overrides})
+    return FleetConfig(**{**FAST, **overrides})
 
 
 @pytest.fixture(scope="module")
@@ -356,40 +356,3 @@ class TestCheckpointShutdown:
                                resume=True)
         assert_identical(resumed, serial_campaign)
         assert resumed.timing["executed"] == SLICE - len(journaled)
-
-
-# ----------------------------------------------------------------------
-# Fleet mode: the same supervision semantics, applied to long-lived
-# warm workers instead of one-shot shards (tests/injection/test_fleet
-# covers the fleet in depth; this class pins the supervision contract
-# the two transports share).
-
-class TestFleetModeSupervision:
-    def test_fleet_respawn_matches_shard_respawn_contract(
-            self, ftp_daemon, tmp_path, serial_campaign):
-        from repro.injection import FleetConfig, run_fleet_campaign
-        chaos = ChaosPolicy(actions=(
-            ChaosAction(kind="kill", shard=0, after=2,
-                        exit_code=0),))
-        campaign = run_fleet_campaign(
-            ftp_daemon, "Client1", client1,
-            config=FleetConfig(workers=2, **FAST), chaos=chaos,
-            max_points=SLICE, journal=tmp_path / "run.jsonl")
-        assert_identical(campaign, serial_campaign)
-        counters = supervisor_counters(campaign)
-        # identical recovery accounting to the one-shot supervisor:
-        # exit-code-0 deaths are detected, the incarnation respawns,
-        # nothing is permanently lost
-        assert counters["supervisor.respawns"] == 1
-        assert counters["supervisor.failed_shards"] == 0
-        assert deterministic_core(campaign) \
-            == deterministic_core(serial_campaign)
-
-    def test_shared_backoff_helper(self):
-        from repro.injection.supervisor import backoff_delay
-        config = fast_config()
-        delays = [backoff_delay(config, n) for n in range(1, 6)]
-        assert delays[0] == config.backoff_base
-        assert all(later >= earlier for earlier, later
-                   in zip(delays, delays[1:]))
-        assert max(delays) <= config.backoff_cap
