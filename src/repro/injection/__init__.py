@@ -3,7 +3,7 @@
 from .campaign import (ALL_ENCODINGS, CampaignResult, CampaignSpec,
                        ENCODING_NEW, ENCODING_OLD, enumerate_specs,
                        QuarantinedPoint, run_both_encodings,
-                       run_campaign, run_spec)
+                       run_campaign, run_spec, RunOptions)
 from .faultmodels import (available_fault_models, BranchBitFlip,
                           BurstInjectionPoint, DEFAULT_FAULT_MODEL,
                           FAULT_MODELS, FaultModel, get_fault_model,
@@ -17,8 +17,7 @@ from .injector import (BreakpointSession, plain_run,
 from .snapshot import MachineSnapshot
 from .runner import (campaign_timing, CampaignInterrupted,
                      CampaignJournal, CampaignRunner, JournalError,
-                     JournalLoadReport, run_resilient_campaign,
-                     Watchdog, WatchdogConfig)
+                     JournalLoadReport, Watchdog, WatchdogConfig)
 from .chaos import (ChaosAction, ChaosPolicy, corrupt_journal_tail)
 from .pruning import (class_is_audited, default_classify,
                       fan_out_result, GuardedWatchdog, PointClass,
@@ -49,7 +48,8 @@ from .targets import (branch_instructions, DEFAULT_TARGET_KINDS,
                       TARGET_KINDS_WITH_CALLS)
 
 __all__ = [
-    "ALL_ENCODINGS", "CampaignSpec", "enumerate_specs", "run_spec",
+    "ALL_ENCODINGS", "CampaignSpec", "RunOptions", "enumerate_specs",
+    "run_spec",
     "FaultModel", "FAULT_MODELS", "DEFAULT_FAULT_MODEL",
     "available_fault_models", "get_fault_model", "register_fault_model",
     "BranchBitFlip", "MultiBitBurst", "RegisterBitFlip", "MemoryBitFlip",
@@ -60,7 +60,7 @@ __all__ = [
     "record_golden", "BreakpointSession", "MachineSnapshot",
     "SessionCache", "plain_run",
     "single_injection", "run_clean_connection", "CampaignRunner",
-    "CampaignJournal", "JournalError", "run_resilient_campaign",
+    "CampaignJournal", "JournalError",
     "campaign_timing", "CampaignInterrupted", "JournalLoadReport",
     "ChaosAction", "ChaosPolicy", "corrupt_journal_tail",
     "PruningAuditError", "PruningPlan", "SitePlan", "PointClass",

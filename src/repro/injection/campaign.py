@@ -7,7 +7,9 @@ branch flips), then runs the model's full experiment list over the
 authentication functions and tallies the outcome distribution.
 :class:`CampaignSpec` names one cell of that
 daemon x client x encoding x fault-model space; specs are what get
-enumerated, sharded, journaled and resumed.
+enumerated, sharded, journaled and resumed; :class:`RunOptions` holds
+how one cell executes (budget, journal, pruning, observability sinks)
+as one validated value.
 
 Execution is delegated to the fault-tolerant engine in
 :mod:`repro.injection.runner`: experiments are isolated (a harness
@@ -18,6 +20,7 @@ journal makes campaigns resumable (``journal=path, resume=True``).
 
 from __future__ import annotations
 
+import os
 from collections import Counter
 from dataclasses import dataclass, field, replace
 
@@ -64,9 +67,144 @@ class CampaignSpec:
         from .faultmodels import get_fault_model
         return get_fault_model(self.fault_model)
 
+    def __post_init__(self):
+        for name in ("daemon", "client", "encoding", "fault_model"):
+            if not isinstance(getattr(self, name), str):
+                raise _bad(TypeError, name, "a name", getattr(self, name))
+        if self.encoding not in ALL_ENCODINGS:
+            raise _bad(ValueError, "encoding", " or ".join(ALL_ENCODINGS),
+                       self.encoding)
+
     def label(self):
         return "%s %s %s %s" % (self.daemon, self.client,
                                 self.encoding, self.fault_model)
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _bad(error, name, wanted, value):
+    return error("%s must be %s, got %r" % (name, wanted, value))
+
+
+def _items(name, value):
+    """*value* as a tuple; a string is one name, not a collection."""
+    if not isinstance(value, (str, bytes)):
+        try:
+            return tuple(value)
+        except TypeError:
+            pass
+    raise _bad(TypeError, name, "a collection", value)
+
+
+#: RunOptions int fields -> minimum (``None``: any int).
+_INT_MINIMA = {"budget": 1, "max_points": 0, "retries": 0,
+               "journal_fsync": 1, "audit_seed": None}
+_PATHS = ("journal", "trace", "metrics", "profile")
+_FLAGS = ("resume", "journal_salvage", "forensics", "full_restore",
+          "prune")
+
+
+@dataclass(frozen=True)
+class RunOptions:
+    """How one campaign executes: the pure-data options every layer
+    under the public entry points receives as this one value.
+
+    Like :class:`CampaignSpec` it holds data, never live objects
+    (progress callbacks, event buses, samplers and caches stay
+    explicit arguments), so it pickles into a fleet worker unchanged.
+    ``__post_init__`` checks every field's type and range once (a
+    ``bool`` is not an int) and raises ``TypeError``/``ValueError``
+    naming the field; ``kinds`` becomes a frozenset and ``ranges`` a
+    tuple of ``(start, end)`` pairs.
+    """
+
+    #: instruction kinds whose branch bits are injected.
+    kinds: frozenset = DEFAULT_TARGET_KINDS
+    #: guest instructions per connection; a run that exhausts it is a
+    #: looping server (FSV, or HANG on a tight loop).
+    budget: int = CONNECTION_INSTRUCTION_BUDGET
+    #: truncate the experiment list (fast tests); ``None`` runs all.
+    max_points: int | None = None
+    #: injected ``(start, end)`` code regions; ``None`` means the
+    #: daemon's authentication functions (extension experiments
+    #: target other sections, e.g. the path-validation code).
+    ranges: tuple | None = None
+    #: JSONL file every result is appended to as it completes.
+    journal: str | os.PathLike | None = None
+    #: skip points already in ``journal`` (a killed campaign restarts
+    #: where it stopped with identical tallies).  The journal must be
+    #: of the same daemon, client, encoding, fault model and budget.
+    resume: bool = False
+    #: re-execute each activated experiment this many times and
+    #: quarantine points whose outcome will not stabilise.
+    retries: int = 0
+    #: fsync the journal every N records (power-loss durability).
+    journal_fsync: int | None = None
+    #: on resume, quarantine corrupt journal lines (re-running their
+    #: points) instead of raising.
+    journal_salvage: bool = False
+    #: Chrome-trace span file (a fleet run merges its workers' spans).
+    trace: str | os.PathLike | None = None
+    #: metrics registry dump (also ``CampaignResult.metrics``).
+    metrics: str | os.PathLike | None = None
+    #: merged sampling-profile JSON (implies a default sampler).
+    profile: str | os.PathLike | None = None
+    #: capture the last-instructions ring and a register/flags
+    #: snapshot on every SD/HANG/HF record.  Like the three sinks it
+    #: is observational: tables and tallies are byte-identical.
+    forensics: bool = False
+    #: rewrite every memory region between experiments instead of the
+    #: dirtied pages (the escape hatch; outcomes are identical).
+    full_restore: bool = False
+    #: run one representative per equivalence class
+    #: (:mod:`repro.injection.pruning`) and fan its outcome out to the
+    #: members; tables are byte-identical to the exhaustive sweep.
+    prune: bool = False
+    #: with ``prune``, exhaustively re-run this seeded fraction of the
+    #: classes; a divergent member raises ``PruningAuditError``.
+    audit_fraction: float = 0.0
+    #: seed of the audited class sample.
+    audit_seed: int = 0
+
+    def __post_init__(self):
+        for name, minimum in _INT_MINIMA.items():
+            value = getattr(self, name)
+            if value is None and name in ("max_points", "journal_fsync"):
+                continue
+            if not _is_int(value):
+                raise _bad(TypeError, name, "an int", value)
+            if minimum is not None and value < minimum:
+                raise _bad(ValueError, name, ">= %d" % minimum, value)
+        for name in _FLAGS:
+            if not isinstance(getattr(self, name), bool):
+                raise _bad(TypeError, name, "a bool", getattr(self, name))
+        for name in _PATHS:
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, (str,
+                                                            os.PathLike)):
+                raise _bad(TypeError, name, "a path", value)
+            if value is not None and not os.fspath(value):
+                raise _bad(ValueError, name, "a non-empty path", value)
+        fraction = self.audit_fraction
+        if not (_is_int(fraction) or isinstance(fraction, float)):
+            raise _bad(TypeError, "audit_fraction", "a number", fraction)
+        if not 0.0 <= fraction <= 1.0:
+            raise _bad(ValueError, "audit_fraction", "within [0, 1]",
+                       fraction)
+        kinds = _items("kinds", self.kinds)
+        if not all(isinstance(kind, str) for kind in kinds):
+            raise _bad(TypeError, "kinds", "kind names", self.kinds)
+        object.__setattr__(self, "kinds", frozenset(kinds))
+        if self.ranges is not None:
+            ranges = tuple(_items("ranges", pair)
+                           for pair in _items("ranges", self.ranges))
+            if not all(len(pair) == 2 and all(map(_is_int, pair))
+                       for pair in ranges):
+                raise _bad(TypeError, "ranges", "(start, end) pairs",
+                           self.ranges)
+            object.__setattr__(self, "ranges", ranges)
 
 
 def enumerate_specs(daemons=None, clients=None, encodings=(ENCODING_OLD,),
@@ -186,93 +324,41 @@ class CampaignResult:
 
 
 def run_campaign(daemon, client_name, client_factory,
-                 encoding=ENCODING_OLD, kinds=DEFAULT_TARGET_KINDS,
-                 budget=CONNECTION_INSTRUCTION_BUDGET, progress=None,
-                 max_points=None, ranges=None, journal=None,
-                 resume=False, retries=0, watchdog=None, workers=None,
-                 daemon_factory=None, fault_model=None, trace=None,
-                 metrics=None, forensics=False, deadline=None,
-                 graceful_signals=False, journal_fsync=None,
-                 journal_salvage=False, chaos=None, supervisor=None,
-                 full_restore=False, session_cache=None, prune=False,
-                 audit_fraction=0.0, audit_seed=0, telemetry=None,
-                 telemetry_campaign=None, sampler=None, profile=None):
+                 encoding=ENCODING_OLD, fault_model=None, progress=None,
+                 workers=None, daemon_factory=None, deadline=None,
+                 graceful_signals=False, chaos=None, supervisor=None,
+                 session_cache=None, telemetry=None,
+                 telemetry_campaign=None, sampler=None, **options):
     """Run one full selective-exhaustive campaign.
 
     ``fault_model`` selects the injected fault family by registry name
-    or instance (:mod:`repro.injection.faultmodels`); the default is
-    the paper's ``branch-bit`` model, under which campaigns are
-    byte-identical to the pre-plugin pipeline.
+    or instance (:mod:`repro.injection.faultmodels`; default: the
+    paper's ``branch-bit``).  Every keyword naming a
+    :class:`RunOptions` field (``max_points``, ``journal``, ``resume``,
+    ``prune``, ...) builds the one validated options value the engine
+    runs under; a bad value raises before anything runs.
 
-    ``max_points`` truncates the experiment list (used by fast tests);
-    benchmarks always run the complete set.  ``ranges`` overrides the
-    injected code regions (default: the daemon's authentication
-    functions) -- used by extension experiments that target other
-    security-relevant sections, e.g. the path-validation code.
-
-    ``journal`` appends every result to a JSONL file as it completes;
-    with ``resume=True`` already-journaled points are skipped, so a
-    killed campaign restarts where it stopped with identical tallies.
-    ``retries`` re-executes each activated experiment that many times
-    and quarantines points whose outcome will not stabilise.
-
-    ``workers=N`` (N > 1) runs the experiment list on a private fleet
-    of N worker processes
-    (:func:`repro.injection.fleet.run_fleet_campaign`); tallies and
-    tables are identical to a serial run, the journal becomes one
-    ``<journal>.shardK`` file per worker (the base path keeps only
-    work-unit progress markers), and ``daemon_factory`` optionally
-    overrides how each worker rebuilds its daemon.
-
-    Observability (:mod:`repro.obs`): ``trace`` writes a Chrome-trace
-    span file (parallel runs merge every worker's spans into it),
-    ``metrics`` writes the serialized metrics registry (also
-    attached as ``CampaignResult.metrics``), and ``forensics=True``
-    captures the last-instructions ring plus a register/flags snapshot
-    on every SD/HANG/HF record.  All three are observational: tables
-    and tallies are byte-identical with any combination enabled.
-
-    Resilience: ``deadline`` bounds the campaign's wall clock and
-    ``graceful_signals=True`` converts SIGTERM/SIGINT into a clean
-    checkpoint -- both raise
-    :class:`~repro.injection.runner.CampaignInterrupted` with a
-    resumable journal.  ``journal_fsync=N`` fsyncs the journal every N
-    records (durability against power loss), ``journal_salvage=True``
-    quarantines corrupt journal lines on resume instead of raising,
-    ``chaos`` injects harness faults from a
-    :class:`~repro.injection.chaos.ChaosPolicy`, and ``supervisor``
-    is a :class:`~repro.injection.fleet.FleetConfig` for a parallel
-    run (restart budget, backoff, heartbeat deadline; its ``workers``
-    is replaced by ``workers=``).
-
-    Pruning (:mod:`repro.injection.pruning`): ``prune=True`` partitions
-    the points into equivalence classes, runs one representative per
-    class and fans the outcome out to every member -- ``counts()``,
-    tables and figures are byte-identical to the exhaustive sweep,
-    journal records carry ``class_id``/``representative`` provenance.
-    ``audit_fraction`` exhaustively re-runs a seeded
-    (``audit_seed``) sample of classes and raises
-    :class:`~repro.injection.pruning.PruningAuditError` on any member
-    whose outcome diverges from its representative.
-
-    ``full_restore=True`` disables the dirty-page snapshot restore and
-    rewrites every memory region between experiments (the escape
-    hatch; outcomes are byte-identical either way).  ``session_cache``
-    shares breakpoint sessions across sequential serial campaigns --
-    e.g. a fault-model sweep over the same daemon reuses one site
-    snapshot per instruction (ignored by parallel runs, whose workers
-    each keep their own cache).
-
-    Telemetry (:mod:`repro.obs.events` / :mod:`repro.obs.sampler`):
-    ``telemetry`` is an :class:`~repro.obs.events.EventBus` receiving
-    typed campaign events (``telemetry_campaign`` labels them when one
-    bus serves several campaigns); ``sampler`` attaches a
-    deterministic instruction-count sampling profiler (an instance, a
-    period, or ``True`` for the default period) and ``profile`` saves
-    its merged profile JSON at that path.  Both are volatile-only:
-    the deterministic metrics core, tables and figures are
-    byte-identical with telemetry and sampling enabled.
+    The other arguments are live objects.  ``workers=N`` (N > 1) runs
+    the experiment list on a private fleet of N worker processes
+    (:func:`repro.injection.fleet.run_fleet_campaign`) with tallies
+    identical to a serial run; the journal becomes one
+    ``<journal>.shardK`` file per worker, ``daemon_factory`` overrides
+    how a worker rebuilds its daemon and ``supervisor`` is a
+    :class:`~repro.injection.fleet.FleetConfig` (its ``workers`` is
+    replaced by ``workers=``).  ``deadline`` and
+    ``graceful_signals=True`` (SIGTERM/SIGINT) checkpoint the campaign,
+    raising :class:`~repro.injection.runner.CampaignInterrupted` with
+    a resumable journal.  ``chaos`` injects harness faults from a
+    :class:`~repro.injection.chaos.ChaosPolicy`; ``session_cache``
+    shares breakpoint sessions across sequential serial campaigns
+    (e.g. a fault-model sweep over one daemon); ``progress(done,
+    total)`` reports as experiments complete.  ``telemetry`` is an
+    :class:`~repro.obs.events.EventBus` for typed campaign events
+    (labelled ``telemetry_campaign``) and ``sampler`` attaches the
+    instruction-count sampling profiler (an instance, a period, or
+    ``True``); both are volatile-only, like the observability sinks.
     """
+    options = RunOptions(**options)
     if workers is not None and workers > 1:
         from .fleet import run_fleet_campaign
         return run_fleet_campaign(
@@ -281,43 +367,23 @@ def run_campaign(daemon, client_name, client_factory,
                     else replace(supervisor, workers=workers)),
             chaos=chaos, deadline=deadline,
             graceful_signals=graceful_signals, telemetry=telemetry,
-            encoding=encoding, kinds=kinds, budget=budget,
-            progress=progress, max_points=max_points, ranges=ranges,
-            journal=journal, resume=resume, retries=retries,
-            watchdog=watchdog, daemon_factory=daemon_factory,
-            fault_model=fault_model, trace=trace, metrics=metrics,
-            forensics=forensics, journal_fsync=journal_fsync,
-            journal_salvage=journal_salvage, full_restore=full_restore,
-            prune=prune, audit_fraction=audit_fraction,
-            audit_seed=audit_seed,
-            telemetry_campaign=telemetry_campaign, sampler=sampler,
-            profile=profile)
-    from .runner import CampaignRunner
+            options=options, encoding=encoding,
+            fault_model=fault_model, progress=progress,
+            daemon_factory=daemon_factory,
+            telemetry_campaign=telemetry_campaign, sampler=sampler)
+    from .runner import CampaignRunner, checkpoint_requests
     # a serial run is "shard 0, attempt 0" to a chaos policy (an
     # already-built agent passes through).
     chaos_agent = (chaos.agent(0, 0) if hasattr(chaos, "agent")
                    else chaos)
-    runner = CampaignRunner(daemon, client_name, client_factory,
-                            encoding=encoding, kinds=kinds,
-                            budget=budget, progress=progress,
-                            max_points=max_points, ranges=ranges,
-                            journal=journal, resume=resume,
-                            retries=retries, watchdog=watchdog,
-                            fault_model=fault_model, trace=trace,
-                            metrics=metrics, forensics=forensics,
-                            deadline=deadline,
-                            graceful_signals=graceful_signals,
-                            journal_fsync=journal_fsync,
-                            journal_salvage=journal_salvage,
-                            chaos=chaos_agent,
-                            full_restore=full_restore,
-                            telemetry=telemetry,
-                            telemetry_campaign=telemetry_campaign,
-                            sampler=sampler, profile=profile,
-                            session_cache=session_cache, prune=prune,
-                            audit_fraction=audit_fraction,
-                            audit_seed=audit_seed)
-    return runner.run()
+    with checkpoint_requests(deadline, graceful_signals) as stop_check:
+        return CampaignRunner(
+            daemon, client_name, client_factory, options,
+            encoding=encoding, fault_model=fault_model,
+            progress=progress, stop_check=stop_check, chaos=chaos_agent,
+            session_cache=session_cache, telemetry=telemetry,
+            telemetry_campaign=telemetry_campaign,
+            sampler=sampler).run()
 
 
 def run_spec(spec, daemon=None, **kwargs):

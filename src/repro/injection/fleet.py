@@ -46,14 +46,11 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import signal
-import threading
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from multiprocessing import connection as _mp_connection
 
-from ..apps.common import CONNECTION_INSTRUCTION_BUDGET
 from ..emu.perf import PerfCounters
 from ..obs.log import get_logger
 from ..obs.metrics import MetricsRegistry, record_supervision_metrics
@@ -64,14 +61,13 @@ from .injector import SessionCache
 from .parallel import (_record_key, default_daemon_factory,
                        discover_shard_journals, load_shard_journals,
                        shard_journal_path)
-from .runner import (_point_key, CampaignInterrupted, CampaignJournal,
-                     campaign_timing, CampaignRunner,
-                     declare_campaign_metrics, JournalError,
-                     record_golden_traced, record_result_metrics,
-                     record_runtime_metrics, validate_journal_meta,
-                     Watchdog, WatchdogConfig)
+from .runner import (_point_key, campaign_timing, checkpoint_requests,
+                     CampaignInterrupted, CampaignJournal, CampaignRunner,
+                     declare_campaign_metrics, install_stop_handlers,
+                     JournalError, record_golden_traced,
+                     record_result_metrics, record_runtime_metrics,
+                     validate_journal_meta, WatchdogConfig)
 from .scheduler import CampaignScheduler, UNIT_INSTRUCTIONS
-from .targets import DEFAULT_TARGET_KINDS
 
 _LOGGER = get_logger("fleet")
 
@@ -134,34 +130,30 @@ def backoff_delay(config, restarts):
                config.backoff_base * (2 ** (restarts - 1)))
 
 
-def install_stop_handlers(on_stop):
-    """Convert SIGTERM/SIGINT into ``on_stop(signal_name)`` (flag, not
-    raise -- the caller checkpoints at the next clean boundary).
-    Returns the restore callback; a no-op off the main thread, where
-    signal handlers cannot be installed."""
-    if threading.current_thread() is not threading.main_thread():
-        return lambda: None
-
-    def request_stop(signum, frame):
-        on_stop(signal.Signals(signum).name)
-
-    previous = {}
-    for signum in (signal.SIGTERM, signal.SIGINT):
-        previous[signum] = signal.signal(signum, request_stop)
-
-    def restore():
-        for signum, handler in previous.items():
-            signal.signal(signum, handler)
-
-    return restore
-
-
 def join_process(process, timeout=5.0):
     """Join with a SIGKILL escalation for processes that ignore it."""
     process.join(timeout)
     if process.is_alive():
         process.kill()
         process.join(timeout)
+
+
+def golden_cell(daemon, client_name, budget):
+    """Key of the warm caches: the fleet's golden runs and a worker's
+    rebuilt daemons and golden runs.  The golden run is deterministic
+    per (daemon, client, budget), so campaigns of one cell share it
+    whatever their encoding, fault model or other options."""
+    return "%s:%s:%s" % (type(daemon).__name__, client_name, budget)
+
+
+def _unit_options(options, shard, **overrides):
+    """A work unit's options: the campaign's, journaling to (and
+    resuming from) *shard*'s ``<journal>.shardK`` file, without the
+    campaign-level sinks that only the parent writes."""
+    journal = (None if options.journal is None
+               else shard_journal_path(options.journal, shard))
+    return replace(options, journal=journal, resume=True, trace=None,
+                   metrics=None, profile=None, **overrides)
 
 
 # ----------------------------------------------------------------------
@@ -214,14 +206,9 @@ def _fleet_worker_main(worker, incarnation, conn, config,
         except (BrokenPipeError, OSError):
             pass      # parent gone; journals are flushed regardless
 
-    def request_stop(signum, frame):
-        stop["reason"] = signal.Signals(signum).name
-
-    try:
-        signal.signal(signal.SIGTERM, request_stop)
-        signal.signal(signal.SIGINT, request_stop)
-    except ValueError:
-        pass          # not this process's main thread (test harness)
+    # a worker checkpoints its unit on SIGTERM/SIGINT (fork inherits
+    # the parent's handlers, so install its own)
+    install_stop_handlers(lambda name: stop.__setitem__("reason", name))
 
     contexts = dict(contexts or {})     # cid -> campaign context
     daemons = {}      # cell -> rebuilt daemon
@@ -273,18 +260,15 @@ def _fleet_worker_main(worker, incarnation, conn, config,
 def _run_unit(emit, stop, ctx, unit, daemons, goldens, sessions,
               worker, chaos):
     """One work unit through the ordinary fault-tolerant runner."""
-    from ..analysis.serialize import (quarantined_to_dict,
-                                      result_to_dict)
     cid = ctx["cid"]
     cell = ctx["cell"]
     daemon = daemons.get(cell)
     if daemon is None:
         daemon = ctx["daemon_factory"]()
         daemons[cell] = daemon
-    journal = (shard_journal_path(ctx["journal"], worker)
-               if ctx["journal"] is not None else None)
+    options = _unit_options(ctx["options"], worker)
     tracer = (Tracer(sink=None, tid=worker + 1)
-              if ctx["trace"] else None)
+              if ctx["options"].trace is not None else None)
 
     def progress(done, total):
         # progress ticks double as the liveness heartbeat
@@ -295,42 +279,45 @@ def _run_unit(emit, stop, ctx, unit, daemons, goldens, sessions,
     sampler = (Sampler(ctx["sample_period"])
                if ctx.get("sample_period") else None)
     runner = CampaignRunner(
-        daemon, ctx["client_name"], ctx["client_factory"],
-        encoding=ctx["encoding"], kinds=ctx["kinds"],
-        budget=ctx["budget"], progress=progress,
-        points=list(unit.points), ranges=ctx["ranges"],
-        journal=journal, resume=True, retries=ctx["retries"],
-        watchdog=Watchdog(ctx["watchdog_config"]),
-        fault_model=ctx["fault_model"], trace=tracer,
-        forensics=ctx["forensics"], trace_root="shard",
+        daemon, ctx["client_name"], ctx["client_factory"], options,
+        encoding=ctx["encoding"], fault_model=ctx["fault_model"],
+        progress=progress, points=list(unit.points), tracer=tracer,
+        trace_root="shard",
         trace_attrs={"shard": worker, "unit": unit.unit_id},
-        stop_check=lambda: stop["reason"],
-        journal_fsync=ctx["journal_fsync"],
-        journal_salvage=ctx["journal_salvage"], chaos=chaos,
-        full_restore=ctx["full_restore"], session_cache=sessions,
-        prune=ctx["prune"], audit_fraction=ctx["audit_fraction"],
-        audit_seed=ctx["audit_seed"], golden=goldens.get(cell),
+        stop_check=lambda: stop["reason"], chaos=chaos,
+        session_cache=sessions, golden=goldens.get(cell),
         sampler=sampler)
     campaign = runner.run()
     goldens[cell] = runner._golden
-    # The worker journal accumulates every unit of this campaign, and
-    # a resume loads *all* its quarantine records -- restrict the
-    # payload (and its metrics counter) to this unit's own points so
-    # the parent's exact metric aggregation never double-counts.
+    payload = _unit_payload(campaign, unit, worker, tracer)
+    records = len(payload["results"]) + len(payload["quarantined"])
+    payload["timing"]["experiments"] = records
+    payload["profile"] = sampler.as_dict() if sampler is not None \
+        else None
+    if options.journal is not None:
+        CampaignJournal.mark_unit(options.journal, unit.unit_id,
+                                  records, campaign=cid)
+    emit("unit-done", cid, unit.unit_id, payload)
+
+
+def _unit_payload(campaign, unit, shard, tracer):
+    """What a finished unit hands the parent's merge: its records,
+    timing, metrics and trace events.  A shard journal accumulates
+    every unit of its campaign, and a resume loads *all* its
+    quarantine records -- so the payload (and its metrics counter) is
+    restricted to this unit's own points, and the parent's exact
+    metric aggregation never double-counts."""
+    from ..analysis.serialize import (quarantined_to_dict,
+                                      result_to_dict)
     unit_keys = set(unit.keys)
     quarantined = [entry for entry in campaign.quarantined
                    if _point_key(entry.point) in unit_keys]
     metrics = campaign.metrics
     metrics["counters"]["quarantined"] = len(quarantined)
     timing = dict(campaign.timing or {})
-    timing.update(shard=worker, unit=unit.unit_id,
-                  points=len(unit.points),
-                  experiments=len(campaign.results) + len(quarantined))
-    if journal is not None:
-        CampaignJournal.mark_unit(
-            journal, unit.unit_id,
-            len(campaign.results) + len(quarantined), campaign=cid)
-    emit("unit-done", cid, unit.unit_id, {
+    timing.update(shard=shard, unit=unit.unit_id,
+                  points=len(unit.points))
+    return {
         "results": [result_to_dict(result)
                     for result in campaign.results],
         "quarantined": [quarantined_to_dict(entry)
@@ -338,8 +325,7 @@ def _run_unit(emit, stop, ctx, unit, daemons, goldens, sessions,
         "timing": timing,
         "metrics": metrics,
         "trace": tracer.events() if tracer is not None else None,
-        "profile": sampler.as_dict() if sampler is not None else None,
-    })
+    }
 
 
 # ----------------------------------------------------------------------
@@ -373,55 +359,35 @@ class FleetCampaignState:
     """Parent-side record of one submitted campaign."""
 
     def __init__(self, cid, daemon, client_name, client_factory,
-                 encoding, model, kinds, budget, points, scheduler,
-                 golden, golden_reused, journal, resume, retries,
-                 watchdog_config, daemon_factory, ranges, tracer,
-                 trace_path, root_cm, root_span, metrics_path,
-                 forensics, journal_fsync, journal_salvage,
-                 full_restore, prune, audit_fraction, audit_seed,
-                 progress, on_unit, resumed_quarantined,
-                 telemetry_campaign=None, sampler=None, profile=None):
+                 encoding, model, options, scheduler, golden,
+                 golden_reused, daemon_factory, tracer, root_cm,
+                 root_span, progress, on_unit, resumed_quarantined,
+                 telemetry_campaign=None, sampler=None):
         self.cid = cid
         self.daemon = daemon
         self.client_name = client_name
         self.client_factory = client_factory
         self.encoding = encoding
         self.model = model
-        self.kinds = kinds
-        self.budget = budget
-        self.points = points
+        #: the campaign's :class:`~repro.injection.campaign.RunOptions`
+        #: (``ranges`` resolved against the parent's daemon).
+        self.options = options
         self.scheduler = scheduler
         self.golden = golden
         self.golden_reused = golden_reused
-        self.journal = journal
-        self.resume = resume
-        self.retries = retries
-        self.watchdog_config = watchdog_config
         self.daemon_factory = daemon_factory
-        self.ranges = ranges
         self.tracer = tracer
-        self.trace_path = trace_path
         self.root_cm = root_cm
         self.root_span = root_span
-        self.metrics_path = metrics_path
-        self.forensics = forensics
-        self.journal_fsync = journal_fsync
-        self.journal_salvage = journal_salvage
-        self.full_restore = full_restore
-        self.prune = prune
-        self.audit_fraction = audit_fraction
-        self.audit_seed = audit_seed
         self.progress = progress
         self.on_unit = on_unit
         self.resumed_quarantined = resumed_quarantined
-        #: telemetry label (defaults to the fleet-local cid), the
-        #: parent-side profile sampler worker profiles fold into, and
-        #: where the merged profile is saved at finalize.
+        #: telemetry label (defaults to the fleet-local cid) and the
+        #: parent-side profile sampler worker profiles fold into.
         self.telemetry_campaign = (telemetry_campaign
                                    if telemetry_campaign is not None
                                    else cid)
         self.sampler = sampler
-        self.profile_path = profile
         self.started = time.monotonic()
         #: unit payloads keyed by unit index (exact metric absorption
         #: happens in unit order at finalize).
@@ -429,15 +395,16 @@ class FleetCampaignState:
         self.executed = 0
         self.partials = {}        # worker -> in-flight progress count
         self.interrupted = None
+        #: why the campaign failed (its inline fallback failed too);
+        #: :meth:`WorkerFleet.finalize` raises it.
+        self.error = None
 
     @property
-    def cell(self):
-        return "%s:%s:%s" % (type(self.daemon).__name__,
-                             self.client_name, self.budget)
-
-    @property
-    def finished(self):
-        return self.scheduler.finished
+    def settled(self):
+        """No unit of this campaign will run any more: it finished,
+        was checkpointed, or failed."""
+        return (self.scheduler.finished or self.interrupted is not None
+                or self.error is not None)
 
     def completed(self):
         return self.scheduler.completed + sum(self.partials.values())
@@ -450,26 +417,14 @@ class FleetCampaignState:
         """The picklable campaign context a worker needs."""
         return {
             "cid": self.cid,
-            "cell": self.cell,
+            "cell": golden_cell(self.daemon, self.client_name,
+                                self.options.budget),
             "client_name": self.client_name,
             "client_factory": self.client_factory,
             "daemon_factory": self.daemon_factory,
             "encoding": self.encoding,
-            "kinds": self.kinds,
-            "budget": self.budget,
             "fault_model": self.model,
-            "ranges": self.ranges,
-            "journal": self.journal,
-            "retries": self.retries,
-            "watchdog_config": self.watchdog_config,
-            "forensics": self.forensics,
-            "trace": self.trace_path is not None,
-            "journal_fsync": self.journal_fsync,
-            "journal_salvage": self.journal_salvage,
-            "full_restore": self.full_restore,
-            "prune": self.prune,
-            "audit_fraction": self.audit_fraction,
-            "audit_seed": self.audit_seed,
+            "options": self.options,
             "sample_period": (self.sampler.period
                               if self.sampler is not None else None),
         }
@@ -482,7 +437,8 @@ class WorkerFleet:
 
         fleet = WorkerFleet(FleetConfig(workers=4))
         fleet.start()
-        cid = fleet.submit(daemon, "Client1", factory, journal=path)
+        cid = fleet.submit(daemon, "Client1", factory,
+                           RunOptions(journal=path))
         while not fleet.finished(cid):
             fleet.pump()
         campaign = fleet.finalize(cid)      # CampaignResult
@@ -527,7 +483,12 @@ class WorkerFleet:
         self._assign_rotor = 0
         self._draining = False
         self._started = False
+        #: a worker silent this long while busy is wedged; by default
+        #: twice the watchdog's wall-clock limit plus slack.
         self._heartbeat_timeout = self.config.heartbeat_timeout
+        if self._heartbeat_timeout is None:
+            wall = WatchdogConfig().wall_clock_limit or 60.0
+            self._heartbeat_timeout = 2.0 * wall + 30.0
         self._inline_sessions = SessionCache(
             capacity=self.config.session_capacity)
         self._inline_tid = self.config.workers + 1
@@ -618,92 +579,80 @@ class WorkerFleet:
 
     # -- submission ----------------------------------------------------
 
-    def submit(self, daemon, client_name, client_factory,
-               encoding=None, kinds=DEFAULT_TARGET_KINDS,
-               budget=CONNECTION_INSTRUCTION_BUDGET, progress=None,
-               max_points=None, ranges=None, journal=None,
-               resume=False, retries=0, watchdog=None,
-               daemon_factory=None, fault_model=None, trace=None,
-               metrics=None, forensics=False, journal_fsync=None,
-               journal_salvage=False, full_restore=False, prune=False,
-               audit_fraction=0.0, audit_seed=0, on_unit=None,
-               telemetry_campaign=None, sampler=None, profile=None,
-               min_units=1):
+    def submit(self, daemon, client_name, client_factory, options,
+               encoding=None, fault_model=None, progress=None,
+               daemon_factory=None, on_unit=None,
+               telemetry_campaign=None, sampler=None, min_units=1):
         """Submit one campaign; returns its campaign id.
 
-        Mirrors :func:`repro.injection.campaign.run_campaign`'s
-        options.  ``on_unit(state, unit, payload)`` is called as each
-        unit completes (the service streams from it).  ``min_units``
+        ``options`` is the campaign's
+        :class:`~repro.injection.campaign.RunOptions`; the other
+        arguments are the live objects of
+        :func:`~repro.injection.campaign.run_campaign`.
+        ``on_unit(state, unit, payload)`` is called as each unit
+        completes (the service streams from it).  ``min_units``
         spreads a small campaign over at least that many units (a
         fleet dedicated to one campaign passes its worker count, so
         every worker gets work; a shared fleet interleaves campaigns
-        instead).  Without ``resume`` the campaign starts its journal
-        afresh: existing ``<journal>.shardK`` files and the base
-        path's unit markers are removed, as the serial runner
+        instead).  Without ``options.resume`` the campaign starts its
+        journal afresh: existing ``<journal>.shardK`` files and the
+        base path's unit markers are removed, as the serial runner
         truncates its own journal.
         ``telemetry_campaign`` labels this campaign's events on the
-        fleet's bus (default: the fleet-local cid); ``sampler`` /
-        ``profile`` attach the sampling profiler (workers sample their
-        own units, the parent folds the profiles and saves the merge
-        at ``profile``).
+        fleet's bus (default: the fleet-local cid); ``sampler`` (or an
+        ``options.profile`` sink) attaches the sampling profiler
+        (workers sample their own units, the parent folds the
+        profiles and saves the merge at ``options.profile``).
         """
         from .campaign import ENCODING_OLD
         cid = "c%04d" % self._next_cid
         self._next_cid += 1
+        if options.ranges is None:
+            options = replace(options, ranges=daemon.auth_ranges())
         encoding = encoding if encoding is not None else ENCODING_OLD
         model = get_fault_model(fault_model)
-        if isinstance(watchdog, Watchdog):
-            watchdog_config = watchdog.config
-        else:
-            watchdog_config = (watchdog if watchdog is not None
-                               else WatchdogConfig())
         if daemon_factory is None:
             daemon_factory = default_daemon_factory(daemon)
-        # ``trace`` is normally a sink path the merged trace is written
-        # to.  A caller's Tracer instance takes the parent's spans, but
-        # tracers do not cross process boundaries, so workers then
-        # emit nothing.
-        if isinstance(trace, Tracer):
-            tracer, trace_path = trace, None
-        else:
-            tracer = Tracer(sink=None)
-            trace_path = None if trace is None else str(trace)
+        # Tracers do not cross process boundaries: the parent's spans
+        # go to an in-memory tracer, and finalize merges them with the
+        # workers' into the ``options.trace`` sink.
+        tracer = Tracer(sink=None)
         root_cm = tracer.span("campaign", workers=self.config.workers,
                               campaign=cid)
         root_span = root_cm.__enter__()
-        if sampler is None and profile is not None:
+        if sampler is None and options.profile is not None:
             sampler = Sampler()
         sampler = as_sampler(sampler)
-        cell = "%s:%s:%s" % (type(daemon).__name__, client_name,
-                             budget)
+        cell = golden_cell(daemon, client_name, options.budget)
         golden = self.goldens.get(cell)
         golden_reused = golden is not None
         if golden is None:
             golden = record_golden_traced(daemon, client_factory,
-                                          budget, tracer, sampler)
+                                          options.budget, tracer,
+                                          sampler)
             self.goldens[cell] = golden
-        if ranges is None:
-            ranges = daemon.auth_ranges()
-        points = model.enumerate_points(daemon.module, ranges, kinds)
-        if max_points is not None:
-            points = points[:max_points]
+        points = model.enumerate_points(daemon.module, options.ranges,
+                                        options.kinds)
+        if options.max_points is not None:
+            points = points[:options.max_points]
         scheduler = CampaignScheduler(
             points, unit_instructions=self.config.unit_instructions,
             min_units=min_units)
         resumed_quarantined = {}
-        if journal is not None and not resume:
+        journal = options.journal
+        if journal is not None and not options.resume:
             for path in discover_shard_journals(journal) + [journal]:
                 try:
                     os.remove(path)
                 except FileNotFoundError:
                     pass
-        if resume and journal is not None:
+        if options.resume and journal is not None:
             expected = {"daemon": type(daemon).__name__,
                         "client": client_name, "encoding": encoding,
-                        "model": model.name}
+                        "model": model.name, "budget": options.budget}
             metas, results, quarantined = load_shard_journals(
                 discover_shard_journals(journal),
-                strict=not journal_salvage)
+                strict=not options.journal_salvage)
             for meta in metas:
                 validate_journal_meta(meta, expected, journal)
             scheduler.preload(results, quarantined)
@@ -712,26 +661,16 @@ class WorkerFleet:
                 if key in scheduler.order}
         state = FleetCampaignState(
             cid, daemon, client_name, client_factory, encoding, model,
-            kinds, budget, points, scheduler, golden, golden_reused,
-            journal, resume, retries, watchdog_config, daemon_factory,
-            ranges, tracer, trace_path, root_cm, root_span, metrics,
-            forensics, journal_fsync, journal_salvage, full_restore,
-            prune, audit_fraction, audit_seed, progress, on_unit,
-            resumed_quarantined,
-            telemetry_campaign=telemetry_campaign, sampler=sampler,
-            profile=profile)
+            options, scheduler, golden, golden_reused, daemon_factory,
+            tracer, root_cm, root_span, progress, on_unit,
+            resumed_quarantined, telemetry_campaign=telemetry_campaign,
+            sampler=sampler)
         self.campaigns[cid] = state
         self._emit(state, "golden", reused=golden_reused,
                    coverage_eips=len(golden.coverage))
         self._emit(state, "campaign-started", points=len(points),
                    workers=self.config.workers,
                    resumed=len(scheduler.results))
-        heartbeat = self.config.heartbeat_timeout
-        if heartbeat is None:
-            wall = watchdog_config.wall_clock_limit or 60.0
-            heartbeat = 2.0 * wall + 30.0
-            self._heartbeat_timeout = max(
-                self._heartbeat_timeout or 0.0, heartbeat)
         _LOGGER.info("campaign %s submitted: %s %s (%d points, "
                      "%s golden)", cid, type(daemon).__name__,
                      client_name, len(points),
@@ -739,8 +678,7 @@ class WorkerFleet:
         return cid
 
     def finished(self, cid):
-        state = self.campaigns[cid]
-        return (state.finished or state.interrupted is not None)
+        return self.campaigns[cid].settled
 
     # -- the supervision loop ------------------------------------------
 
@@ -833,30 +771,34 @@ class WorkerFleet:
             self.events["stale_messages"] += 1
             return
         unit = slot.current[1]
+        state.partials.pop(slot.worker, None)
+        slot.current = None
+        slot.status = IDLE
+        self._absorb_unit(state, unit, payload, slot.worker)
+
+    def _absorb_unit(self, state, unit, payload, worker, **flags):
+        """Fold a finished unit's payload into its campaign, then
+        report it: journal marker, telemetry, progress, ``on_unit``."""
+        from ..analysis.serialize import point_from_dict
         scheduler = state.scheduler
         for record in payload["results"]:
             scheduler.record(_record_key(record), record)
         for record in payload["quarantined"]:
-            from ..analysis.serialize import point_from_dict
             key = _point_key(point_from_dict(record["point"]))
             scheduler.record_quarantine(key, record)
         scheduler.complete(unit)
         state.payloads[unit.index] = payload
         state.executed += payload["timing"].get("executed", 0)
-        state.partials.pop(slot.worker, None)
-        slot.current = None
-        slot.status = IDLE
         if state.sampler is not None:
             state.sampler.absorb_dict(payload.get("profile"))
         self._mark_unit(state, unit, status="done",
                         records=len(payload["results"])
                         + len(payload["quarantined"]))
         self._emit(state, "unit-finished", unit=unit.unit_id,
-                   worker=slot.worker,
-                   results=len(payload["results"]),
+                   worker=worker, results=len(payload["results"]),
                    quarantined=len(payload["quarantined"]),
                    completed=scheduler.completed,
-                   total=scheduler.total)
+                   total=scheduler.total, **flags)
         if self.telemetry is not None:
             self.telemetry.emit_outcomes(state.telemetry_campaign,
                                          payload["results"])
@@ -870,11 +812,11 @@ class WorkerFleet:
         appender and carries pure progress metadata: ``repro status``
         and ``repro top`` read in-flight units and the live ETA from
         it)."""
-        if state.journal is None:
+        if state.options.journal is None:
             return
         try:
             CampaignJournal.mark_unit(
-                state.journal, unit.unit_id, records,
+                state.options.journal, unit.unit_id, records,
                 campaign=state.cid, status=status,
                 total=state.scheduler.total)
         except OSError:
@@ -903,9 +845,9 @@ class WorkerFleet:
         """Recover what a worker already journaled for *unit* (only
         its own points: the worker journal also holds earlier units,
         whose payloads were already counted)."""
-        if state.journal is None:
+        if state.options.journal is None:
             return
-        path = shard_journal_path(state.journal, worker)
+        path = shard_journal_path(state.options.journal, worker)
         try:
             __, results, quarantined = CampaignJournal.load(
                 path, strict=False)
@@ -1040,7 +982,7 @@ class WorkerFleet:
         if not idle:
             return
         cids = sorted(cid for cid, state in self.campaigns.items()
-                      if state.interrupted is None)
+                      if not state.settled)
         if not cids:
             return
         for slot in idle:
@@ -1048,7 +990,7 @@ class WorkerFleet:
             for offset in range(len(cids)):
                 cid = cids[(self._assign_rotor + offset) % len(cids)]
                 state = self.campaigns[cid]
-                unit = state.scheduler.take()
+                unit = None if state.settled else state.scheduler.take()
                 if unit is None:
                     continue
                 if state.scheduler.attempts(unit) \
@@ -1068,10 +1010,10 @@ class WorkerFleet:
 
     def _resume_reserved(self, slot):
         """Hand a respawned incarnation the unit its predecessor
-        failed in, unless that campaign is gone or checkpointed."""
+        failed in, unless that campaign is gone or settled."""
         cid, unit = slot.reserved
         state = self.campaigns.get(cid)
-        if state is None or state.interrupted is not None \
+        if state is None or state.settled \
                 or self._dispatch(slot, state, unit):
             slot.reserved = None
 
@@ -1101,10 +1043,8 @@ class WorkerFleet:
         if any(slot.status in (IDLE, BUSY, BACKOFF)
                for slot in self.slots.values()):
             return
-        pending = [state for state in self.campaigns.values()
-                   if not state.finished and state.interrupted is None]
-        for state in pending:
-            while True:
+        for state in list(self.campaigns.values()):
+            while not state.settled:
                 unit = state.scheduler.take()
                 if unit is None:
                     break
@@ -1112,44 +1052,37 @@ class WorkerFleet:
 
     def _complete_inline(self, state, unit):
         """Run *unit* inline; the last resort, so its failure fails
-        the campaign, naming every worker failure that led here."""
+        the campaign (and only that campaign: :meth:`finalize` raises
+        the error), naming every worker failure that led here."""
         try:
             self._run_unit_inline(state, unit)
         except Exception as error:
             details = "\n".join("worker %d: %s" % failure
                                 for failure in self.failures)
-            raise RuntimeError(
+            state.error = RuntimeError(
                 "campaign could not self-heal: inline completion of "
                 "unit %s failed after worker failure(s):\n%s"
-                % (unit.unit_id, details)) from error
+                % (unit.unit_id, details))
+            state.error.__cause__ = error
+            _LOGGER.error("campaign %s failed: %s", state.cid,
+                          state.error)
 
     def _run_unit_inline(self, state, unit):
-        from ..analysis.serialize import (quarantined_to_dict,
-                                          result_to_dict)
         self.events["inline_points"] += len(unit.points)
         _LOGGER.warning("running unit %s of %s inline in the parent "
                         "(%d points)", unit.unit_id, state.cid,
                         len(unit.points))
-        journal = (shard_journal_path(state.journal, self._inline_tid)
-                   if state.journal is not None else None)
         tracer = (Tracer(sink=None, tid=self._inline_tid + 1)
-                  if state.trace_path is not None else None)
+                  if state.options.trace is not None else None)
         runner = CampaignRunner(
             state.daemon, state.client_name, state.client_factory,
-            encoding=state.encoding, kinds=state.kinds,
-            budget=state.budget, points=list(unit.points),
-            ranges=state.ranges, journal=journal, resume=True,
-            retries=state.retries,
-            watchdog=Watchdog(state.watchdog_config),
-            fault_model=state.model, trace=tracer,
-            forensics=state.forensics, trace_root="shard",
+            _unit_options(state.options, self._inline_tid,
+                          journal_salvage=True),
+            encoding=state.encoding, fault_model=state.model,
+            points=list(unit.points), tracer=tracer, trace_root="shard",
             trace_attrs={"shard": self._inline_tid,
                          "unit": unit.unit_id, "inline": True},
-            journal_fsync=state.journal_fsync, journal_salvage=True,
-            full_restore=state.full_restore,
-            session_cache=self._inline_sessions,
-            prune=state.prune, audit_fraction=state.audit_fraction,
-            audit_seed=state.audit_seed, golden=state.golden,
+            session_cache=self._inline_sessions, golden=state.golden,
             # inline units run in the parent, feeding the campaign's
             # own sampler directly (no profile payload to fold).
             sampler=state.sampler)
@@ -1157,49 +1090,11 @@ class WorkerFleet:
         self._emit(state, "unit-started", unit=unit.unit_id,
                    worker=self._inline_tid, points=len(unit.points),
                    inline=True)
-        campaign = runner.run()
-        unit_keys = set(unit.keys)
-        quarantined = [entry for entry in campaign.quarantined
-                       if _point_key(entry.point) in unit_keys]
-        metrics = campaign.metrics
-        metrics["counters"]["quarantined"] = len(quarantined)
-        timing = dict(campaign.timing or {})
-        timing.update(shard=self._inline_tid, unit=unit.unit_id,
-                      points=len(unit.points), inline=True)
-        payload = {
-            "results": [result_to_dict(result)
-                        for result in campaign.results],
-            "quarantined": [quarantined_to_dict(entry)
-                            for entry in quarantined],
-            "timing": timing,
-            "metrics": metrics,
-            "trace": tracer.events() if tracer is not None else None,
-        }
-        scheduler = state.scheduler
-        for record in payload["results"]:
-            scheduler.record(_record_key(record), record)
-        for record in payload["quarantined"]:
-            from ..analysis.serialize import point_from_dict
-            key = _point_key(point_from_dict(record["point"]))
-            scheduler.record_quarantine(key, record)
-        scheduler.complete(unit)
-        state.payloads[unit.index] = payload
-        state.executed += payload["timing"].get("executed", 0)
-        self._mark_unit(state, unit, status="done",
-                        records=len(payload["results"])
-                        + len(payload["quarantined"]))
-        self._emit(state, "unit-finished", unit=unit.unit_id,
-                   worker=self._inline_tid,
-                   results=len(payload["results"]),
-                   quarantined=len(payload["quarantined"]),
-                   completed=scheduler.completed,
-                   total=scheduler.total, inline=True)
-        if self.telemetry is not None:
-            self.telemetry.emit_outcomes(state.telemetry_campaign,
-                                         payload["results"])
-        state.report_progress()
-        if state.on_unit is not None:
-            state.on_unit(state, unit, payload)
+        payload = _unit_payload(runner.run(), unit, self._inline_tid,
+                                tracer)
+        payload["timing"]["inline"] = True
+        self._absorb_unit(state, unit, payload, self._inline_tid,
+                          inline=True)
 
     # -- checkpoint drain ----------------------------------------------
 
@@ -1245,7 +1140,7 @@ class WorkerFleet:
                 self._release_unit(slot, state, salvage=True)
             slot.status = RETIRED
         for state in self.campaigns.values():
-            if not state.finished and state.interrupted is None:
+            if not state.settled:
                 state.interrupted = reason
                 self._emit(state, "checkpoint", reason=reason,
                            completed=state.scheduler.completed)
@@ -1257,8 +1152,8 @@ class WorkerFleet:
         """Merge a finished campaign into a
         :class:`~repro.injection.campaign.CampaignResult` (or raise
         :class:`~repro.injection.runner.CampaignInterrupted` for a
-        drained one); flushes its trace and metrics sinks either way
-        and forgets the campaign."""
+        drained one, or the error of a failed one); flushes its
+        observability sinks either way and forgets the campaign."""
         state = self.campaigns.pop(cid)
         state.root_span.set("experiments",
                             len(state.scheduler.results))
@@ -1266,13 +1161,17 @@ class WorkerFleet:
             state.root_cm.__exit__(None, None, None)
         except Exception:
             pass
-        if state.interrupted is not None or not state.finished:
+        if state.error is not None:
+            self._flush_observability(state, None)
+            raise state.error
+        if state.interrupted is not None \
+                or not state.scheduler.finished:
             registry = declare_campaign_metrics(MetricsRegistry())
             record_supervision_metrics(registry, self.events)
             self._flush_observability(state, registry)
             raise CampaignInterrupted(
                 state.interrupted or "incomplete",
-                journal=state.journal,
+                journal=state.options.journal,
                 completed=state.scheduler.completed)
         if state.sampler is not None:
             with state.sampler.host_phase("merge"):
@@ -1286,18 +1185,18 @@ class WorkerFleet:
         return campaign
 
     def _flush_observability(self, state, registry):
-        if state.profile_path is not None \
-                and state.sampler is not None:
-            state.sampler.save(state.profile_path)
-        if state.trace_path is not None:
+        options = state.options
+        if options.profile is not None and state.sampler is not None:
+            state.sampler.save(options.profile)
+        if options.trace is not None:
             events = list(state.tracer.events())
             for index in sorted(state.payloads):
                 unit_events = state.payloads[index].get("trace")
                 if unit_events:
                     events.extend(unit_events)
-            merge_trace_files(state.trace_path, events, [])
-        if state.metrics_path is not None and registry is not None:
-            registry.save(state.metrics_path)
+            merge_trace_files(options.trace, events, [])
+        if options.metrics is not None and registry is not None:
+            registry.save(options.metrics)
 
     def _merge(self, state):
         from ..analysis.serialize import (quarantined_from_dict,
@@ -1371,7 +1270,7 @@ class WorkerFleet:
 def run_fleet_campaign(daemon, client_name, client_factory, workers=2,
                        fleet=None, config=None, chaos=None,
                        deadline=None, graceful_signals=False,
-                       telemetry=None, **options):
+                       telemetry=None, options=None, **kwargs):
     """Run one campaign on a (possibly shared) warm fleet.
 
     With ``fleet=None`` a private fleet of ``workers`` (or ``config``)
@@ -1385,33 +1284,36 @@ def run_fleet_campaign(daemon, client_name, client_factory, workers=2,
     (and leaves it running).  ``deadline``/``graceful_signals``
     checkpoint the campaign through :meth:`WorkerFleet.drain`, raising
     :class:`~repro.injection.runner.CampaignInterrupted`.
+
+    ``options`` is the campaign's
+    :class:`~repro.injection.campaign.RunOptions`; without it, the
+    keyword arguments naming its fields (``max_points=``,
+    ``journal=``, ...) build one, as :func:`run_campaign` does.  The
+    remaining keywords (``encoding``, ``fault_model``, ``progress``,
+    ...) go to :meth:`WorkerFleet.submit`.
     """
+    if options is None:
+        from .campaign import RunOptions
+        options = RunOptions(**{
+            name: kwargs.pop(name) for name in list(kwargs)
+            if name in RunOptions.__dataclass_fields__})
     owns = fleet is None
     if fleet is None:
         if config is None:
             config = FleetConfig(workers=workers, session_capacity=1)
         fleet = WorkerFleet(config, chaos=chaos, telemetry=telemetry)
-    stop = {"reason": None}
-    restore = (install_stop_handlers(
-        lambda name: stop.__setitem__("reason", name))
-        if graceful_signals else (lambda: None))
-    deadline_at = (time.monotonic() + deadline
-                   if deadline is not None else None)
     try:
-        cid = fleet.submit(daemon, client_name, client_factory,
-                           min_units=fleet.config.workers if owns else 1,
-                           **options)
-        while not fleet.finished(cid):
-            fleet.pump()
-            reason = stop["reason"]
-            if reason is None and deadline_at is not None \
-                    and time.monotonic() > deadline_at:
-                reason = "deadline"
-            if reason is not None:
-                fleet.drain(reason)
-                break
-        return fleet.finalize(cid)
+        with checkpoint_requests(deadline, graceful_signals) as stop_check:
+            cid = fleet.submit(
+                daemon, client_name, client_factory, options,
+                min_units=fleet.config.workers if owns else 1, **kwargs)
+            while not fleet.finished(cid):
+                fleet.pump()
+                reason = stop_check()
+                if reason is not None:
+                    fleet.drain(reason)
+                    break
+            return fleet.finalize(cid)
     finally:
-        restore()
         if owns:
             fleet.stop()

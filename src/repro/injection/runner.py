@@ -38,9 +38,9 @@ import threading
 import time
 import traceback
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from ..apps.common import CONNECTION_INSTRUCTION_BUDGET
 from ..emu.machine_exceptions import CpuFault
 from ..emu.perf import PerfCounters
 from ..kernel import ServerHang
@@ -55,7 +55,6 @@ from .injector import BreakpointSession, SessionCache
 from .outcomes import (classify_completed_run, FAIL_SILENCE_VIOLATION,
                        HANG, HARNESS_FAULT, InjectionResult,
                        NOT_ACTIVATED, SECURITY_BREAKIN)
-from .targets import DEFAULT_TARGET_KINDS
 
 #: unstable points are re-queued at most this many times before being
 #: quarantined (the "capped backoff" of the experiment list).
@@ -116,6 +115,55 @@ class CampaignInterrupted(RuntimeError):
                     "--journal PATH to make checkpoints resumable")
         return ("re-run the same campaign with --resume to continue "
                 "from %s" % self.journal)
+
+
+def install_stop_handlers(on_stop):
+    """Convert SIGTERM/SIGINT into ``on_stop(signal_name)`` (flag, not
+    raise -- the caller checkpoints at the next clean boundary).
+    Returns the restore callback; a no-op off the main thread, where
+    signal handlers cannot be installed."""
+    if threading.current_thread() is not threading.main_thread():
+        return lambda: None
+
+    def request_stop(signum, frame):
+        on_stop(signal.Signals(signum).name)
+
+    previous = {}
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        previous[signum] = signal.signal(signum, request_stop)
+
+    def restore():
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)
+
+    return restore
+
+
+@contextmanager
+def checkpoint_requests(deadline=None, graceful_signals=False):
+    """Yield the ``stop_check()`` poll of one campaign run: the name of
+    a SIGTERM/SIGINT received under ``graceful_signals``, or
+    ``"deadline"`` once ``deadline`` seconds have passed, else
+    ``None``.  The serial runner polls it between experiments, the
+    fleet between supervision rounds; signal handlers are restored on
+    exit."""
+    stop = {"reason": None}
+    restore = (install_stop_handlers(
+        lambda name: stop.__setitem__("reason", name))
+        if graceful_signals else (lambda: None))
+    deadline_at = (time.monotonic() + deadline
+                   if deadline is not None else None)
+
+    def stop_check():
+        if stop["reason"] is None and deadline_at is not None \
+                and time.monotonic() > deadline_at:
+            return "deadline"
+        return stop["reason"]
+
+    try:
+        yield stop_check
+    finally:
+        restore()
 
 
 @dataclass
@@ -346,12 +394,18 @@ def validate_journal_meta(meta, expected, path):
     Journals written before the fault-model registry existed
     (schema <= 4) carry no ``model`` field; every pre-registry
     campaign was branch-bit by construction, so a missing model
-    matches (and only matches) a branch-bit resume.
+    matches (and only matches) a branch-bit resume.  The instruction
+    budget decides FSV/HANG versus other outcomes, so a journal
+    resumes only at its own budget; one that never recorded a budget
+    still resumes.
     """
-    for field_name in ("daemon", "client", "encoding", "model"):
+    for field_name in ("daemon", "client", "encoding", "model",
+                       "budget"):
         recorded = meta.get(field_name)
         if field_name == "model" and recorded is None:
             recorded = "branch-bit"
+        if field_name == "budget" and recorded is None:
+            continue
         if recorded != expected[field_name]:
             raise JournalError(
                 "journal %s was recorded for %s=%r, campaign wants "
@@ -582,74 +636,50 @@ class _PendingPoint:
 class CampaignRunner:
     """Executes one selective-exhaustive campaign fault-tolerantly.
 
-    Construction mirrors :func:`repro.injection.campaign.run_campaign`
-    (which is now a thin wrapper); :meth:`run` returns the populated
+    ``options`` is the campaign's
+    :class:`~repro.injection.campaign.RunOptions` (default options
+    when ``None``); every other argument is a live object or an
+    engine-internal hook (explicit unit points, an in-memory tracer,
+    the root span's name, the checkpoint poll, a pre-recorded golden
+    run).  :func:`~repro.injection.campaign.run_campaign` builds both
+    for its callers; :meth:`run` returns the populated
     :class:`~repro.injection.campaign.CampaignResult`.
     """
 
-    def __init__(self, daemon, client_name, client_factory,
-                 encoding=None, kinds=DEFAULT_TARGET_KINDS,
-                 budget=CONNECTION_INSTRUCTION_BUDGET, progress=None,
-                 max_points=None, ranges=None, journal=None,
-                 resume=False, retries=0, watchdog=None, points=None,
-                 fault_model=None, trace=None, metrics=None,
-                 forensics=False, trace_root="campaign",
-                 trace_attrs=None, deadline=None, stop_check=None,
-                 graceful_signals=False, journal_fsync=None,
-                 journal_salvage=False, chaos=None, full_restore=False,
-                 session_cache=None, prune=False, audit_fraction=0.0,
-                 audit_seed=0, golden=None, telemetry=None,
-                 telemetry_campaign=None, sampler=None, profile=None):
-        from .campaign import ENCODING_OLD
+    def __init__(self, daemon, client_name, client_factory, options=None,
+                 encoding=None, fault_model=None, progress=None,
+                 points=None, tracer=None, trace_root="campaign",
+                 trace_attrs=None, stop_check=None, chaos=None,
+                 session_cache=None, golden=None, telemetry=None,
+                 telemetry_campaign=None, sampler=None):
+        from .campaign import ENCODING_OLD, RunOptions
         self.daemon = daemon
         self.client_name = client_name
         self.client_factory = client_factory
+        self.options = options if options is not None else RunOptions()
         self.encoding = encoding if encoding is not None else ENCODING_OLD
         self.model = get_fault_model(fault_model)
-        self.kinds = kinds
-        self.budget = budget
         self.progress = progress
-        self.max_points = max_points
-        self.ranges = ranges
-        self.journal_path = journal
-        self.resume = resume
-        self.retries = retries
-        self.watchdog = (watchdog if isinstance(watchdog, Watchdog)
-                         else Watchdog(watchdog))
-        #: explicit experiment list (one shard of a parallel campaign);
-        #: ``None`` enumerates the daemon's auth sections as usual.
+        #: explicit experiment list (one work unit of a fleet
+        #: campaign); ``None`` enumerates the daemon's auth sections.
         self.points = points
-        #: observability: span tracer (``trace`` is a sink path or a
-        #: :class:`~repro.obs.trace.Tracer`; the root span is named
-        #: ``campaign`` serially, ``shard`` in a worker), metrics sink
-        #: path, and the forensics switch (ring + snapshot capture on
-        #: SD/HANG/HF; off by default so the fast path is untouched).
-        self.tracer = as_tracer(trace)
-        self.metrics_path = metrics
-        self.forensics = forensics
+        #: span tracer: a worker's in-memory :class:`Tracer` when
+        #: given, else one writing the ``trace`` sink (if any).  The
+        #: root span is named ``campaign`` serially, ``shard`` in a
+        #: fleet worker.
+        self.tracer = (tracer if tracer is not None
+                       else as_tracer(self.options.trace))
+        self.watchdog = Watchdog(tracer=self.tracer)
         self.trace_root = trace_root
         self.trace_attrs = dict(trace_attrs or {})
-        #: graceful-shutdown machinery: ``deadline`` bounds the whole
-        #: campaign's wall clock, ``stop_check`` is an external "please
-        #: checkpoint" poll (returns a falsy value or a reason string),
-        #: and ``graceful_signals`` converts SIGTERM/SIGINT into a
-        #: clean checkpoint between experiments.  All three raise
-        #: :class:`CampaignInterrupted` after closing the journal.
-        self.deadline = deadline
+        #: graceful shutdown: a "please checkpoint" poll between
+        #: experiments (a falsy value or a reason string; see
+        #: :func:`checkpoint_requests`).  A reason raises
+        #: :class:`CampaignInterrupted` after the journal is closed.
         self.stop_check = stop_check
-        self.graceful_signals = graceful_signals
-        self._stop_signal = None
-        self._deadline_at = None
-        #: durability / chaos hooks (see :class:`CampaignJournal` and
-        #: :mod:`repro.injection.chaos`).
-        self.journal_fsync = journal_fsync
-        self.journal_salvage = journal_salvage
+        #: chaos hooks (:mod:`repro.injection.chaos`).
         self.chaos = chaos
         self.registry = declare_campaign_metrics(MetricsRegistry())
-        self.watchdog.tracer = self.tracer
-        #: snapshot-restore escape hatch: rewrite every region instead
-        #: of only dirtied pages (cross-checked in tests).
-        self.full_restore = full_restore
         # Session cache: points arrive in address order, so a private
         # cache keeps one live session (plus the unreachable set, so a
         # disagreeing address is probed once, not once per bit).  A
@@ -659,14 +689,6 @@ class CampaignRunner:
                               else SessionCache(capacity=1))
         self._session = None
         self._session_address = None
-        #: equivalence-class pruning (:mod:`repro.injection.pruning`):
-        #: run one representative per class and fan the outcome out to
-        #: every member.  ``audit_fraction`` exhaustively re-runs a
-        #: seeded sample of multi-member classes and hard-fails on any
-        #: divergent member.
-        self.prune = prune
-        self.audit_fraction = audit_fraction
-        self.audit_seed = audit_seed
         #: pre-recorded golden run for this (daemon, client, budget)
         #: cell.  A warm fleet worker serving its second campaign for
         #: a cell passes the cached one in, skipping the reference
@@ -686,18 +708,15 @@ class CampaignRunner:
         self.telemetry_campaign = telemetry_campaign
         self._telemetry_reported = 0
         #: deterministic sampling profiler (:mod:`repro.obs.sampler`):
-        #: ``sampler`` is a :class:`~repro.obs.sampler.Sampler` (or a
-        #: period int), ``profile`` the JSON sink :meth:`run` saves.
-        #: A sink with no sampler gets a default-period sampler.
-        self.profile_path = profile
-        if sampler is None and profile is not None:
+        #: a :class:`~repro.obs.sampler.Sampler` (or a period int); a
+        #: ``profile`` sink with no sampler gets a default-period one.
+        if sampler is None and self.options.profile is not None:
             sampler = Sampler()
         self.sampler = as_sampler(sampler)
 
     # -- public entry point --------------------------------------------
 
     def run(self):
-        restore = self._install_signal_handlers()
         try:
             with self.tracer.span(self.trace_root,
                                   **self.trace_attrs) as span:
@@ -714,57 +733,24 @@ class CampaignRunner:
             # flush observability sinks even on a checkpoint exit, so
             # an interrupted campaign still leaves a loadable trace
             # and (partial) metrics dump behind.
-            restore()
             self.tracer.close()
-            if self.metrics_path is not None:
-                self.registry.save(self.metrics_path)
-            if (self.profile_path is not None
+            if self.options.metrics is not None:
+                self.registry.save(self.options.metrics)
+            if (self.options.profile is not None
                     and self.sampler is not None):
-                self.sampler.save(self.profile_path)
-
-    def _install_signal_handlers(self):
-        """Install graceful SIGTERM/SIGINT handlers (flag, not raise:
-        the current experiment finishes and the journal closes before
-        :class:`CampaignInterrupted` surfaces).  Returns the restore
-        callback; a no-op off the main thread or when
-        ``graceful_signals`` is off."""
-        if (not self.graceful_signals
-                or threading.current_thread()
-                is not threading.main_thread()):
-            return lambda: None
-
-        def request_stop(signum, frame):
-            self._stop_signal = signal.Signals(signum).name
-
-        previous = {}
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            previous[signum] = signal.signal(signum, request_stop)
-
-        def restore():
-            for signum, handler in previous.items():
-                signal.signal(signum, handler)
-
-        return restore
+                self.sampler.save(self.options.profile)
 
     def _interrupt_reason(self):
         """Why the campaign should checkpoint now, or ``None``."""
-        if self._stop_signal is not None:
-            return self._stop_signal
-        if self.stop_check is not None:
-            reason = self.stop_check()
-            if reason:
-                return (reason if isinstance(reason, str)
-                        else "stop-requested")
-        if (self._deadline_at is not None
-                and time.monotonic() > self._deadline_at):
-            return "deadline"
+        reason = self.stop_check() if self.stop_check is not None \
+            else None
+        if reason:
+            return reason if isinstance(reason, str) else "stop-requested"
         return None
 
     def _run_traced(self, root_span):
         from .campaign import CampaignResult, QuarantinedPoint
         started = time.monotonic()
-        if self.deadline is not None:
-            self._deadline_at = started + self.deadline
         self._perf = PerfCounters()
         if self.golden is not None:
             # Warm path: the cell's golden run (and its perf share)
@@ -776,7 +762,7 @@ class CampaignRunner:
         else:
             golden = record_golden_traced(self.daemon,
                                           self.client_factory,
-                                          self.budget, self.tracer,
+                                          self.options.budget, self.tracer,
                                           self.sampler)
             self._perf.absorb_dict(golden.perf)
             self.registry.counter("runtime.golden_runs",
@@ -789,14 +775,14 @@ class CampaignRunner:
         if self.points is not None:
             points = list(self.points)
         else:
-            if self.ranges is not None:
-                ranges = self.ranges
+            if self.options.ranges is not None:
+                ranges = self.options.ranges
             else:
                 ranges = self.daemon.auth_ranges()
-            points = self.model.enumerate_points(self.daemon.module,
-                                                 ranges, self.kinds)
-        if self.max_points is not None:
-            points = points[:self.max_points]
+            points = self.model.enumerate_points(
+                self.daemon.module, ranges, self.options.kinds)
+            if self.options.max_points is not None:
+                points = points[:self.options.max_points]
         _LOGGER.debug("%s %s (%s, %s): %d experiment(s)",
                       type(self.daemon).__name__, self.client_name,
                       self.encoding, self.model.name, len(points))
@@ -811,9 +797,10 @@ class CampaignRunner:
                                   golden=golden)
         journaled, quarantined_records = self._load_journal(campaign)
         journal = None
-        if self.journal_path is not None:
+        if self.options.journal is not None:
             journal = CampaignJournal(
-                self.journal_path, fsync_every=self.journal_fsync,
+                self.options.journal,
+                fsync_every=self.options.journal_fsync,
                 write_hook=(self.chaos.on_journal_write
                             if self.chaos is not None else None))
             journal.open(self._meta(), append=bool(journaled
@@ -877,20 +864,21 @@ class CampaignRunner:
     def _meta(self):
         return {"daemon": type(self.daemon).__name__,
                 "client": self.client_name, "encoding": self.encoding,
-                "model": self.model.name, "budget": self.budget}
+                "model": self.model.name, "budget": self.options.budget}
 
     def _load_journal(self, campaign):
         """Returns ``(results_by_key, quarantine_by_key)`` from an
         existing journal when resuming (else empty dicts)."""
-        if not (self.resume and self.journal_path is not None):
+        options = self.options
+        if not (options.resume and options.journal is not None):
             return {}, {}
         try:
             meta, results, quarantined = CampaignJournal.load(
-                self.journal_path, strict=not self.journal_salvage)
+                options.journal, strict=not options.journal_salvage)
         except FileNotFoundError:
             return {}, {}
         if meta is not None:
-            validate_journal_meta(meta, self._meta(), self.journal_path)
+            validate_journal_meta(meta, self._meta(), options.journal)
         return results, quarantined
 
     @staticmethod
@@ -902,7 +890,7 @@ class CampaignRunner:
 
     def _run_points(self, campaign, points, journaled,
                     quarantined_records, journal):
-        if self.prune:
+        if self.options.prune:
             return self._run_points_pruned(campaign, points, journaled,
                                            quarantined_records, journal)
         from ..analysis.serialize import result_from_dict
@@ -943,7 +931,7 @@ class CampaignRunner:
                 # experiment (the finally in _run_traced closes it),
                 # so a resume finishes the campaign identically.
                 raise CampaignInterrupted(
-                    reason, journal=self.journal_path,
+                    reason, journal=self.options.journal,
                     completed=len(campaign.results)
                     + len(quarantined_records))
             pending = queue.popleft()
@@ -990,7 +978,7 @@ class CampaignRunner:
         campaign's.
         """
         total = len(points)
-        ranges = (self.ranges if self.ranges is not None
+        ranges = (self.options.ranges if self.options.ranges is not None
                   else self.daemon.auth_ranges())
         plan = self.model.classify_points(
             self.daemon.module, points, self.encoding,
@@ -1020,7 +1008,7 @@ class CampaignRunner:
                 reason = self._interrupt_reason()
                 if reason is not None:
                     raise CampaignInterrupted(
-                        reason, journal=self.journal_path,
+                        reason, journal=self.options.journal,
                         completed=len(campaign.results)
                         + len(quarantined_records))
                 self._run_class(campaign, site, cls, journaled,
@@ -1187,8 +1175,8 @@ class CampaignRunner:
         if self.chaos is not None:
             self.chaos.on_point(self._chaos_tick)
         if not (stamp and class_is_audited(cls.class_id,
-                                           self.audit_fraction,
-                                           self.audit_seed)):
+                                           self.options.audit_fraction,
+                                           self.options.audit_seed)):
             return
         self.registry.counter("pruning.audited_classes",
                               volatile=True).inc()
@@ -1242,9 +1230,9 @@ class CampaignRunner:
             result = self._execute(pending.point, pending.location)
         except Exception:
             return self._harness_fault(pending)
-        if self.retries <= 0 or not result.activated:
+        if self.options.retries <= 0 or not result.activated:
             return result
-        confirmations = min(self.retries * (2 ** pending.round),
+        confirmations = min(self.options.retries * (2 ** pending.round),
                             MAX_CONFIRMATIONS_PER_ROUND)
         signature = (result.outcome, result.exit_kind,
                      result.crash_latency)
@@ -1278,14 +1266,14 @@ class CampaignRunner:
         session goes."""
         forensics = None
         if self._session is not None:
-            if self.forensics:
+            if self.options.forensics:
                 try:
                     forensics = capture_forensics(
                         self._session.process.cpu)
                 except Exception:
                     forensics = None          # never mask the fault
             self.session_cache.discard(SessionCache.key(
-                self.daemon, self.client_name, self.budget,
+                self.daemon, self.client_name, self.options.budget,
                 self._session_address))
         self._retire_session()
         detail = traceback.format_exc(limit=8).strip()
@@ -1350,7 +1338,7 @@ class CampaignRunner:
         if status.kind == "crash":
             latency = status.instret - session.activation_instret
         forensics = None
-        if self.forensics and (status.kind == "crash"
+        if self.options.forensics and (status.kind == "crash"
                                or outcome == HANG):
             forensics = capture_forensics(session.process.cpu)
         return InjectionResult(
@@ -1374,7 +1362,7 @@ class CampaignRunner:
         if self._session_address == address:
             return self._session
         key = SessionCache.key(self.daemon, self.client_name,
-                               self.budget, address)
+                               self.options.budget, address)
         if self.session_cache.unreachable_arrival(key) is not None:
             return None
         self._retire_session()
@@ -1387,7 +1375,7 @@ class CampaignRunner:
                                   address="0x%x" % address) as span:
                 session = BreakpointSession(self.daemon,
                                             self.client_factory,
-                                            address, self.budget,
+                                            address, self.options.budget,
                                             run_fn=self.watchdog)
                 span.set("reached", session.reached)
             self.registry.counter("runtime.sessions",
@@ -1402,18 +1390,11 @@ class CampaignRunner:
         # (Re)bind per-runner policy: a cached session may have been
         # created by a campaign with different settings.
         session.run_fn = self.watchdog
-        session.full_restore = self.full_restore
-        session.process.cpu.forensic_ring = (make_forensic_ring()
-                                             if self.forensics else None)
+        session.full_restore = self.options.full_restore
+        session.process.cpu.forensic_ring = (
+            make_forensic_ring() if self.options.forensics else None)
         session.process.cpu.sampler = self.sampler
         session.sampler = self.sampler
         self._session = session
         self._session_address = address
         return session
-
-def run_resilient_campaign(daemon, client_name, client_factory,
-                           **kwargs):
-    """Functional facade over :class:`CampaignRunner`."""
-    runner = CampaignRunner(daemon, client_name, client_factory,
-                            **kwargs)
-    return runner.run()

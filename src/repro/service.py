@@ -15,6 +15,8 @@ Wire protocol (one JSON object per line, both directions)::
     -> {"op": "submit", "spec": {"daemon": "ftpd", "client": "Client1",
         "encoding": "old", "fault_model": "branch-bit"},
         "options": {"max_points": 40, "journal": "...", ...}}
+       # options: the JSON-typed RunOptions fields in SUBMIT_OPTIONS,
+       # validated at the door (an ill-typed value is rejected)
     <- {"event": "accepted", "campaign": "c0000", "points": 120,
         "units": 9, "warm": false}
     <- {"event": "unit", "campaign": "c0000", "unit": "u00003",
@@ -60,6 +62,7 @@ the resume journal, and the process exits 0.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import json
 import queue
 import signal
@@ -67,16 +70,19 @@ import socket as _socket
 import threading
 import traceback
 
-from .injection.campaign import CampaignSpec
-from .injection.fleet import FleetConfig, WorkerFleet
+from .injection.campaign import CampaignSpec, RunOptions
+from .injection.fleet import FleetConfig, golden_cell, WorkerFleet
+from .injection.parallel import _record_key
 from .injection.runner import CampaignInterrupted
 from .obs.events import EventBus
 from .obs.log import get_logger
 
 _LOGGER = get_logger("service")
 
-#: campaign options a submission may set (everything else is rejected:
-#: callables and runner internals do not cross the wire).
+#: the :class:`~repro.injection.campaign.RunOptions` fields a
+#: submission may set (everything else is rejected: callables and
+#: runner internals do not cross the wire, and ``kinds``/``ranges``
+#: have no JSON form).
 SUBMIT_OPTIONS = frozenset((
     "max_points", "journal", "resume", "retries", "prune",
     "audit_fraction", "audit_seed", "forensics", "trace", "metrics",
@@ -196,15 +202,18 @@ class CampaignService:
                       "lock": asyncio.Lock()}
         try:
             while True:
-                line = await reader.readline()
+                line = await _read_line(reader)
+                if line is None:
+                    await self._reject(connection,
+                                       "request line too long")
+                    continue
                 if not line:
                     break
                 try:
                     request = json.loads(line)
-                except json.JSONDecodeError:
-                    await self._send(connection, {
-                        "event": "rejected",
-                        "reason": "request is not valid JSON"})
+                except (ValueError, RecursionError):
+                    await self._reject(connection,
+                                       "request is not valid JSON")
                     continue
                 await self._handle_request(connection, request)
         except (ConnectionResetError, BrokenPipeError):
@@ -217,37 +226,32 @@ class CampaignService:
             writer.close()
 
     async def _handle_request(self, connection, request):
-        if request.get("op") == "subscribe":
+        if not isinstance(request, dict):
+            await self._reject(connection,
+                               "request must be a JSON object")
+            return
+        op = request.get("op")
+        if op == "subscribe":
             await self._subscribe(connection)
             return
-        if request.get("op") != "submit":
-            await self._send(connection, {
-                "event": "rejected",
-                "reason": "unknown op %r" % request.get("op")})
+        if op != "submit":
+            await self._reject(connection, "unknown op %r" % (op,))
             return
         if self._stopping.is_set():
-            await self._send(connection, {
-                "event": "rejected", "reason": "service is draining"})
+            await self._reject(connection, "service is draining")
+            return
+        if not self._dispatcher.is_alive():
+            await self._reject(connection, "service dispatcher crashed")
             return
         if connection["in_flight"] >= self.quota:
-            await self._send(connection, {
-                "event": "rejected",
-                "reason": "quota exceeded (%d campaign(s) in flight)"
-                % connection["in_flight"]})
-            return
-        options = request.get("options") or {}
-        unknown = set(options) - SUBMIT_OPTIONS
-        if unknown:
-            await self._send(connection, {
-                "event": "rejected",
-                "reason": "unsupported option(s): %s"
-                % ", ".join(sorted(unknown))})
+            await self._reject(
+                connection, "quota exceeded (%d campaign(s) in flight)"
+                % connection["in_flight"])
             return
         try:
-            spec = CampaignSpec(**(request.get("spec") or {}))
-        except TypeError as error:
-            await self._send(connection, {
-                "event": "rejected", "reason": "bad spec: %s" % error})
+            spec, options = _parse_submission(request)
+        except (TypeError, ValueError) as error:
+            await self._reject(connection, str(error))
             return
         connection["in_flight"] += 1
         events = asyncio.Queue()
@@ -257,6 +261,10 @@ class CampaignService:
         task = asyncio.ensure_future(self._stream(connection, events))
         self._streams.add(task)
         task.add_done_callback(self._streams.discard)
+
+    async def _reject(self, connection, reason):
+        await self._send(connection, {"event": "rejected",
+                                      "reason": reason})
 
     async def _subscribe(self, connection):
         """Attach this connection to the telemetry plane.  The ack is
@@ -372,9 +380,7 @@ class CampaignService:
         if daemon is None:
             daemon = spec.build_daemon()
             self._daemons[spec.daemon] = daemon
-        warm = ("%s:%s:%s" % (type(daemon).__name__, spec.client,
-                              options.get("budget",
-                                          _default_budget()))
+        warm = (golden_cell(daemon, spec.client, options.budget)
                 in self.fleet.goldens)
         client = _ClientCampaign(None, events, connection)
 
@@ -383,7 +389,7 @@ class CampaignService:
             results = []
             for record in payload["results"]:
                 record = dict(record)
-                record["order"] = order[_record_key_of(record)]
+                record["order"] = order[_record_key(record)]
                 results.append(record)
             self._push(events, {
                 "event": "unit", "campaign": client.cid,
@@ -395,9 +401,9 @@ class CampaignService:
             })
 
         cid = self.fleet.submit(
-            daemon, spec.client, spec.client_factory(),
+            daemon, spec.client, spec.client_factory(), options,
             encoding=spec.encoding, fault_model=spec.fault_model,
-            on_unit=on_unit, **options)
+            on_unit=on_unit)
         client.cid = cid
         state = self.fleet.campaigns[cid]
         self._push(events, {
@@ -452,14 +458,45 @@ class CampaignService:
         self._subscribers.clear()
 
 
-def _default_budget():
-    from .apps.common import CONNECTION_INSTRUCTION_BUDGET
-    return CONNECTION_INSTRUCTION_BUDGET
+def _parse_submission(request):
+    """The ``(CampaignSpec, RunOptions)`` a ``submit`` request names.
+    Raises ``TypeError``/``ValueError`` naming what is wrong: a spec
+    or options value that is not a JSON object, an option outside
+    :data:`SUBMIT_OPTIONS`, or a field of the wrong type or range."""
+    spec = request.get("spec", {})
+    options = request.get("options", {})
+    if not isinstance(spec, dict):
+        raise TypeError("bad spec: must be a JSON object, got %r"
+                        % (spec,))
+    if not isinstance(options, dict):
+        raise TypeError("bad options: must be a JSON object, got %r"
+                        % (options,))
+    unknown = set(options) - SUBMIT_OPTIONS
+    if unknown:
+        raise ValueError("unsupported option(s): %s"
+                         % ", ".join(sorted(unknown)))
+    return CampaignSpec(**spec), RunOptions(**options)
 
 
-def _record_key_of(record):
-    from .injection.parallel import _record_key
-    return _record_key(record)
+async def _read_line(reader):
+    """The next request line: ``b""`` at end of stream (a final line
+    cut short comes back as it is), ``None`` for a line longer than
+    the reader's limit, which is discarded through its newline."""
+    try:
+        return await reader.readuntil(b"\n")
+    except asyncio.IncompleteReadError as eof:
+        return eof.partial
+    except asyncio.LimitOverrunError as overrun:
+        consumed = overrun.consumed
+    while True:
+        await reader.readexactly(consumed)
+        try:
+            await reader.readuntil(b"\n")
+            return None
+        except asyncio.IncompleteReadError:
+            return b""
+        except asyncio.LimitOverrunError as overrun:
+            consumed = overrun.consumed
 
 
 # ----------------------------------------------------------------------
@@ -496,11 +533,16 @@ class ServiceClient:
 
     def submit(self, spec, **options):
         """Send one submission; returns the ``accepted`` event (or
-        raises :class:`ServiceError` on rejection)."""
+        raises :class:`ServiceError` on rejection).  ``options`` are
+        :class:`~repro.injection.campaign.RunOptions` fields, checked
+        here before they cross the wire (the service checks them
+        again at its door)."""
+        try:
+            RunOptions(**options)
+        except (TypeError, ValueError) as error:
+            raise ServiceError("bad options: %s" % error) from None
         if isinstance(spec, CampaignSpec):
-            spec = {"daemon": spec.daemon, "client": spec.client,
-                    "encoding": spec.encoding,
-                    "fault_model": spec.fault_model}
+            spec = dataclasses.asdict(spec)
         request = {"op": "submit", "spec": spec, "options": options}
         self._sock.sendall((json.dumps(request) + "\n").encode())
         event = self._next_event()

@@ -1,11 +1,18 @@
-"""CampaignSpec: the daemon x client x encoding x fault-model cell."""
+"""CampaignSpec: the daemon x client x encoding x fault-model cell,
+and RunOptions: how one cell executes."""
+
+import dataclasses
+import pickle
 
 import pytest
 
+from repro.apps.ftpd import client1
 from repro.apps.pop3d import Pop3Daemon
 from repro.injection import (ALL_ENCODINGS, BranchBitFlip,
-                             CampaignSpec, enumerate_specs,
-                             RegisterBitFlip, run_spec)
+                             CampaignSpec, DEFAULT_TARGET_KINDS,
+                             enumerate_specs, RegisterBitFlip,
+                             run_campaign, run_spec, RunOptions)
+from repro.service import SUBMIT_OPTIONS
 
 
 def test_defaults_name_the_paper_experiment():
@@ -78,3 +85,64 @@ def test_run_spec_builds_daemon_when_not_supplied():
     campaign = run_spec(spec, max_points=2)
     assert campaign.total_runs == 2
     assert campaign.daemon_name == "FtpDaemon"
+
+
+@pytest.mark.parametrize("fields", [dict(daemon=3), dict(client=None),
+                                    dict(encoding="newer"),
+                                    dict(fault_model=["branch-bit"])])
+def test_spec_rejects_ill_typed_names(fields):
+    name = next(iter(fields))
+    with pytest.raises((TypeError, ValueError), match=name):
+        CampaignSpec(**fields)
+
+
+# ----------------------------------------------------------------------
+# RunOptions
+
+def test_run_options_defaults_are_the_paper_campaign():
+    options = RunOptions()
+    assert options.kinds == DEFAULT_TARGET_KINDS
+    assert options.budget == 400_000
+    assert options.max_points is None and options.journal is None
+    assert not (options.resume or options.prune or options.forensics)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("retries", "2"), ("retries", True), ("retries", -1),
+    ("budget", 0), ("budget", 1.5), ("max_points", -3),
+    ("max_points", False), ("journal_fsync", 0), ("audit_seed", "7"),
+    ("audit_fraction", "x"), ("audit_fraction", True),
+    ("audit_fraction", 1.5), ("audit_fraction", float("nan")),
+    ("resume", 1), ("prune", "yes"), ("forensics", None),
+    ("full_restore", 0), ("journal_salvage", "false"),
+    ("journal", 5), ("journal", ""), ("trace", ["t.json"]),
+    ("metrics", True), ("profile", {}),
+    ("kinds", "cond_branch"), ("kinds", [1]), ("kinds", 3),
+    ("ranges", [(1, "2")]), ("ranges", [(1, 2, 3)]), ("ranges", 7),
+])
+def test_run_options_reject_bad_values_naming_the_field(field, value):
+    with pytest.raises((TypeError, ValueError), match=field):
+        RunOptions(**{field: value})
+
+
+def test_run_options_normalise_and_pickle():
+    options = RunOptions(kinds=["jump"], ranges=[[16, 32]],
+                         journal="run.jsonl", audit_fraction=1)
+    assert options.kinds == frozenset({"jump"})
+    assert options.ranges == ((16, 32),)
+    assert pickle.loads(pickle.dumps(options)) == options
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        options.budget = 1
+
+
+def test_run_campaign_validates_before_running(ftp_daemon):
+    with pytest.raises(TypeError, match="retries"):
+        run_campaign(ftp_daemon, "Client1", client1, max_points=2,
+                     retries="2")
+    with pytest.raises(TypeError, match="unexpected keyword"):
+        run_campaign(ftp_daemon, "Client1", client1, max_point=2)
+
+
+def test_wire_whitelist_is_a_subset_of_run_options():
+    fields = {field.name for field in dataclasses.fields(RunOptions)}
+    assert SUBMIT_OPTIONS <= fields

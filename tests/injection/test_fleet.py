@@ -18,7 +18,7 @@ from repro.apps.ftpd import client1
 from repro.injection import (CampaignInterrupted, ChaosAction,
                              ChaosPolicy, FleetConfig,
                              run_campaign, run_fleet_campaign,
-                             WorkerFleet)
+                             RunOptions, WorkerFleet)
 from repro.injection.fleet import backoff_delay, BUSY
 
 SLICE = 40
@@ -161,9 +161,9 @@ class TestWarmFleet:
         fleet.start()
         try:
             first = fleet.submit(ftp_daemon, "Client1", client1,
-                                 max_points=SLICE)
+                                 RunOptions(max_points=SLICE))
             second = fleet.submit(ftp_daemon, "Client1", client1,
-                                  max_points=SLICE)
+                                  RunOptions(max_points=SLICE))
             while not (fleet.finished(first)
                        and fleet.finished(second)):
                 fleet.pump()

@@ -304,6 +304,33 @@ class TestJournalResume:
             run_campaign(ftp_daemon, "Client2", client1, max_points=8,
                          journal=path, resume=True)
 
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_resume_rejects_journal_of_another_budget(
+            self, ftp_daemon, tmp_path, workers):
+        # the budget decides FSV/HANG against other outcomes: resuming
+        # at another budget would silently mix two campaigns' records
+        path = tmp_path / "run.jsonl"
+        run_campaign(ftp_daemon, "Client1", client1, max_points=8,
+                     budget=40_000, journal=path, workers=workers)
+        with pytest.raises(JournalError, match="budget"):
+            run_campaign(ftp_daemon, "Client1", client1, max_points=8,
+                         journal=path, resume=True, workers=workers)
+
+    def test_journal_without_budget_still_resumes(self, ftp_daemon,
+                                                  tmp_path):
+        path = tmp_path / "run.jsonl"
+        first = run_campaign(ftp_daemon, "Client1", client1,
+                             max_points=8, journal=path)
+        lines = self.journal_lines(path)
+        del lines[0]["budget"]
+        with open(path, "w") as handle:
+            for line in lines:
+                handle.write(json.dumps(line) + "\n")
+        resumed = run_campaign(ftp_daemon, "Client1", client1,
+                               max_points=8, journal=path, resume=True)
+        assert resumed.timing["executed"] == 0
+        assert resumed.counts(refined=True) == first.counts(refined=True)
+
     def test_corrupt_middle_line_raises(self, ftp_daemon, tmp_path):
         path = tmp_path / "run.jsonl"
         run_campaign(ftp_daemon, "Client1", client1, max_points=8,

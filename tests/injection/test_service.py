@@ -11,7 +11,9 @@ resumable journals before ``run()`` returns 0.
 
 from __future__ import annotations
 
+import json
 import os
+import socket
 import threading
 import time
 
@@ -89,6 +91,17 @@ def rebuild(done, records):
                         for record in records]
     campaign.metrics = done["metrics"]
     return campaign
+
+
+def request_reply(socket_path, request):
+    """Send one raw request line; return the service's reply event."""
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+        sock.settimeout(30)
+        sock.connect(socket_path)
+        sock.sendall((json.dumps(request) + "\n").encode())
+        line = sock.makefile("r").readline()
+    assert line, "connection closed without a reply"
+    return json.loads(line)
 
 
 def assert_identical(campaign, serial):
@@ -242,6 +255,48 @@ class TestServiceAdmission:
             with pytest.raises(ServiceError) as excinfo:
                 client.submit(SPEC, progress=True)
         assert "progress" in str(excinfo.value)
+
+    def test_ill_typed_options_rejected_and_service_keeps_serving(
+            self, tmp_path, serial_campaign):
+        # own harness: an accepted ill-typed value used to exhaust
+        # every worker's restart budget and crash the dispatcher
+        harness = ServiceHarness(tmp_path / "typed.sock").start()
+        try:
+            for field, value in (("retries", "2"),
+                                 ("audit_fraction", "x")):
+                reply = request_reply(harness.socket_path, {
+                    "op": "submit",
+                    "spec": {"daemon": "ftpd", "client": "Client1"},
+                    "options": {"max_points": 12, field: value}})
+                assert reply["event"] == "rejected"
+                assert field in reply["reason"]
+            with ServiceClient(harness.socket_path) as client:
+                accepted = client.submit(SPEC, max_points=SLICE)
+                done, records = client.collect(accepted["campaign"])
+            assert_identical(rebuild(done, records), serial_campaign)
+            assert harness.service._dispatcher.is_alive()
+        finally:
+            harness.stop()
+
+    def test_failed_campaign_leaves_the_service_serving(
+            self, tmp_path, serial_campaign):
+        # a well-typed option no worker (nor the inline fallback) can
+        # use fails that campaign alone; the dispatcher used to crash
+        harness = ServiceHarness(tmp_path / "failed.sock").start()
+        try:
+            with ServiceClient(harness.socket_path) as client:
+                accepted = client.submit(
+                    SPEC, max_points=8,
+                    journal=str(tmp_path / "missing" / "run.jsonl"))
+                events = list(client.events(accepted["campaign"]))
+                assert events[-1]["event"] == "error"
+                assert "could not self-heal" in events[-1]["detail"]
+                accepted = client.submit(SPEC, max_points=SLICE)
+                done, records = client.collect(accepted["campaign"])
+            assert_identical(rebuild(done, records), serial_campaign)
+            assert harness.service._dispatcher.is_alive()
+        finally:
+            harness.stop()
 
     def test_unknown_daemon_rejected(self, harness):
         with ServiceClient(harness.socket_path) as client:

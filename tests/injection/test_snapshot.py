@@ -14,7 +14,7 @@ import pytest
 from repro.apps.registry import available_daemons, get_daemon_spec
 from repro.injection import (available_fault_models, BreakpointSession,
                              get_fault_model, MachineSnapshot,
-                             record_golden, SessionCache)
+                             record_golden, RunOptions, SessionCache)
 from repro.injection.runner import CampaignRunner
 
 #: per-cell experiment cap: enough to span several instructions (and
@@ -50,10 +50,11 @@ def _signature(campaign):
             for result in campaign.results]
 
 
-def _run(daemon, spec, model, points, **kwargs):
+def _run(daemon, spec, model, points, session_cache=None, **options):
     runner = CampaignRunner(daemon, "Client1",
                             spec.client_factory("Client1"),
-                            fault_model=model, points=points, **kwargs)
+                            RunOptions(**options), fault_model=model,
+                            points=points, session_cache=session_cache)
     return runner.run()
 
 
