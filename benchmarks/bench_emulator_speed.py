@@ -124,8 +124,8 @@ def test_forensic_ring_overhead(record_result, record_json):
 def test_sampler_overhead(record_result, record_json):
     """The telemetry acceptance gate: the sampling profiler costs
     under 5% on the fast path when attached, and exactly nothing when
-    not.  Like the forensic ring, ``run()`` branches to a separate
-    ``_run_sampled`` loop, so the plain superstep loop never consults
+    not.  Like the forensic ring, ``run()`` branches to the separate
+    ``_run_observed`` loop, so the plain superstep loop never consults
     the sampler -- asserted structurally below, then measured for the
     attached case."""
     import inspect
@@ -141,7 +141,7 @@ def test_sampler_overhead(record_result, record_json):
     assert "sampler" not in plain_loop, (
         "plain CPU.run loop references the sampler -- detached cost "
         "is no longer zero")
-    assert CPU._run_sampled is not CPU.run
+    assert CPU._run_observed is not CPU.run
 
     program = compile_program(HASH_LOOP)
 

@@ -14,13 +14,16 @@ exhaustive injection campaigns (see ``DESIGN.md`` section 10):
   instead of computing SF/ZF/PF/AF/OF/CF; the flags materialise only
   when something actually reads ``cpu.eflags`` (a Jcc, ``pushf``, a
   snapshot, a test) -- flags clobbered unread are never computed;
-* **basic-block supersteps**: ``run``/``run_until`` execute
-  straight-line runs of prepared ops without per-instruction
-  breakpoint/budget bookkeeping between branch boundaries.
+* **basic-block supersteps**: ``run`` executes straight-line runs
+  of prepared ops without per-instruction stop-address/budget
+  bookkeeping between branch boundaries.
 
-The reference path (:meth:`CPU.slow_step`) keeps the original
-decode-and-dispatch semantics and is differentially tested against
-the fast path.  Perf counters live on :attr:`CPU.perf`.
+Three run loops share :meth:`CPU.run`'s contract: the plain superstep
+loop, the observed loop feeding a forensic ring and sampler, and the
+stepwise loop for ``coverage``/``trace_hook``.  The reference path
+(:meth:`CPU.slow_step`) keeps the original decode-and-dispatch
+semantics and is differentially tested against the fast path.  Perf
+counters live on :attr:`CPU.perf`.
 
 Anything a corrupted byte stream can decode into is executable here:
 BCD adjusts, rotate-through-carry, string ops, segment pops, x87
@@ -112,22 +115,15 @@ class CPU:
         self.cacheable = None     # (start, end) range eligible for caching
         self.coverage = None      # optional set of executed EIPs
         self.trace_hook = None    # optional fn(cpu, instruction) per step
-        #: optional forensic EIP ring (:mod:`repro.obs.forensics`).
-        #: ``None`` keeps the plain fast loops byte-for-byte untouched
-        #: (zero overhead); a ring switches :meth:`run` to the
-        #: forensic loop, which appends at basic-block granularity --
-        #: whole ``block[3]`` address tuples, no per-instruction
-        #: bookkeeping -- and single EIPs on the step path.  The ring
-        #: ends with the *faulting* instruction after a crash (it did
-        #: not retire; ``instret`` stays exact).
+        #: optional observers: a forensic EIP ring
+        #: (:mod:`repro.obs.forensics`) and a sampling profiler
+        #: (:mod:`repro.obs.sampler`).  With both ``None`` :meth:`run`
+        #: stays on the plain loop, which never tests for them (zero
+        #: overhead); either switches it to :meth:`_run_observed`.
+        #: That loop and :meth:`step` feed them every instruction, at
+        #: block granularity on supersteps.  After a crash the ring
+        #: ends with the *faulting* instruction, which did not retire.
         self.forensic_ring = None
-        #: optional sampling profiler (:mod:`repro.obs.sampler`).
-        #: Same zero-overhead contract as the forensic ring: ``None``
-        #: leaves the plain loops untouched; a sampler switches
-        #: :meth:`run` to the sampling loop, which counts down whole
-        #: supersteps and indexes ``block[3]`` for sampled EIPs.
-        #: When both a ring and a sampler are attached the forensic
-        #: loop wins (crash evidence outranks profiling).
         self.sampler = None
         self._next_eip = 0
         self._dispatch = self._build_dispatch()
@@ -486,7 +482,31 @@ class CPU:
         return block
 
     def step(self):
-        """Execute one instruction; raises CpuFault on a crash."""
+        """Execute one instruction; raises CpuFault on a crash.
+
+        Feeds the attached observers: the ring records the EIP before
+        it executes, the sampler counts what retired (the ``instret``
+        delta, fault or not: each completed rep iteration, nothing
+        for a faulting instruction).
+        """
+        ring = self.forensic_ring
+        if ring is not None:
+            ring.append(self.eip)
+        sampler = self.sampler
+        if sampler is None:
+            self._step()
+            return
+        eip = self.eip
+        retired = self.instret
+        try:
+            self._step()
+        finally:
+            retired = self.instret - retired
+            sampler.retire((eip,) * retired, retired)
+
+    def _step(self):
+        """Unobserved :meth:`step`, for the loops that run with no
+        observer attached."""
         if self.coverage is not None or self.trace_hook is not None:
             return self.slow_step()
         entry = self.prepared.get(self.eip)
@@ -518,30 +538,39 @@ class CPU:
         if self.trace_hook is not None:
             self.trace_hook(self, instruction)
 
-    def run(self, max_instructions):
-        """Run until exit, fault, or the instruction budget is spent.
+    def run(self, max_instructions, stop=frozenset()):
+        """Run until exit, fault, the instruction budget is spent, or
+        EIP lands on an address in *stop* (before executing it: a
+        debugger breakpoint, or the pruning guard's watch window).
+        Returns ``("exit", code)``, ``("crash", fault)``,
+        ``("limit", None)`` or ``("stop", None)``.
 
-        Returns ``("exit", code)``, ``("crash", fault)`` or
-        ``("limit", None)``.
+        Supersteps enter a block only when it fits the budget and
+        *stop* is disjoint from its inner addresses.  Instrumentation
+        selects one of the two other loops, so this one never tests
+        for it.
         """
         if self.coverage is not None or self.trace_hook is not None:
-            return self._run_stepwise(max_instructions)
-        if self.forensic_ring is not None:
-            return self._run_forensic(max_instructions)
-        if self.sampler is not None:
-            return self._run_sampled(max_instructions)
+            return self._run_stepwise(max_instructions, stop)
+        if self.forensic_ring is not None or self.sampler is not None:
+            return self._run_observed(max_instructions, stop)
         perf = self.perf
         blocks = self.blocks
         try:
             while not self.halted:
+                eip = self.eip
+                if eip in stop:
+                    return ("stop", None)
                 remaining = max_instructions - self.instret
                 if remaining <= 0:
                     return ("limit", None)
-                block = blocks.get(self.eip)
+                block = blocks.get(eip)
                 if block is None:
-                    block = self._block_at(self.eip)
-                if block is not None and len(block[0]) <= remaining:
+                    block = self._block_at(eip)
+                if (block is not None and len(block[0]) <= remaining
+                        and (not stop or stop.isdisjoint(block[1]))):
                     fns = block[0]
+                    count = len(fns)
                     try:
                         for fn in fns:
                             fn()
@@ -549,269 +578,90 @@ class CPU:
                         # Every op raises with eip still at its own
                         # address, so eip identifies the faulting op;
                         # retire exactly the ones before it.
-                        executed = block[3].index(self.eip)
-                        self.instret += executed
-                        perf.superstep_entries += 1
-                        perf.superstep_instructions += executed
-                        perf.prepared_hits += executed
+                        count = block[3].index(self.eip)
                         raise
-                    count = len(fns)
-                    self.instret += count
-                    perf.superstep_entries += 1
-                    perf.superstep_instructions += count
-                    perf.prepared_hits += count
+                    finally:
+                        self.instret += count
+                        perf.superstep_entries += 1
+                        perf.superstep_instructions += count
+                        perf.prepared_hits += count
                     continue
-                self.step()
+                self._step()
         except CpuFault as fault:
             return ("crash", fault)
         return ("exit", getattr(self, "exit_code", 0))
 
-    def _run_forensic(self, max_instructions):
-        """:meth:`run` with the forensic ring attached.
+    def _run_observed(self, max_instructions, stop):
+        """:meth:`run` with a forensic ring and/or a sampler attached.
 
-        A separate loop (rather than an in-loop ``if ring``) so the
-        plain fast path pays nothing when forensics is off.  Ring
-        appends reuse the block's prebuilt ``block[3]`` address tuple
-        -- one append per superstep, no tuple construction -- and a
-        mid-block fault truncates the final entry to the ops up to and
-        including the faulting one, so the ring always ends at the
-        instruction the crash report points at.
+        Each superstep appends the block's prebuilt ``block[3]``
+        address tuple to the ring and counts the sampler down by the
+        whole block, indexing the tuple for a sample that falls due;
+        single instructions go through the observing :meth:`step`.  A
+        mid-block fault truncates the last ring entry at the faulting
+        op and samples only the ops before it.
         """
         perf = self.perf
         blocks = self.blocks
         ring = self.forensic_ring
-        ring_append = ring.append
-        try:
-            while not self.halted:
-                remaining = max_instructions - self.instret
-                if remaining <= 0:
-                    return ("limit", None)
-                block = blocks.get(self.eip)
-                if block is None:
-                    block = self._block_at(self.eip)
-                if block is not None and len(block[0]) <= remaining:
-                    fns = block[0]
-                    ring_append(block[3])
-                    try:
-                        for fn in fns:
-                            fn()
-                    except BaseException:
-                        executed = block[3].index(self.eip)
-                        ring[-1] = block[3][:executed + 1]
-                        self.instret += executed
-                        perf.superstep_entries += 1
-                        perf.superstep_instructions += executed
-                        perf.prepared_hits += executed
-                        raise
-                    count = len(fns)
-                    self.instret += count
-                    perf.superstep_entries += 1
-                    perf.superstep_instructions += count
-                    perf.prepared_hits += count
-                    continue
-                ring_append(self.eip)
-                self.step()
-        except CpuFault as fault:
-            return ("crash", fault)
-        return ("exit", getattr(self, "exit_code", 0))
-
-    def _run_sampled(self, max_instructions):
-        """:meth:`run` with a sampling profiler attached.
-
-        A separate loop (same discipline as :meth:`_run_forensic`) so
-        the plain fast path pays nothing when profiling is off.
-        ``skip`` counts instructions until the next sample; a whole
-        superstep is usually skipped with one comparison and one
-        subtraction, and sampled EIPs come from the prebuilt
-        ``block[3]`` address tuple.  Sampling is in *retired
-        instructions*, so a mid-block fault samples only the ops that
-        retired before the faulting one -- the profile stays exact
-        and deterministic.
-        """
-        perf = self.perf
-        blocks = self.blocks
         sampler = self.sampler
-        samples = sampler.samples
-        period = sampler.period
-        skip = sampler.skip
         try:
             while not self.halted:
+                eip = self.eip
+                if eip in stop:
+                    return ("stop", None)
                 remaining = max_instructions - self.instret
                 if remaining <= 0:
                     return ("limit", None)
-                block = blocks.get(self.eip)
-                if block is None:
-                    block = self._block_at(self.eip)
-                if block is not None and len(block[0]) <= remaining:
-                    fns = block[0]
-                    try:
-                        for fn in fns:
-                            fn()
-                    except BaseException:
-                        addrs = block[3]
-                        executed = addrs.index(self.eip)
-                        while skip < executed:
-                            eip = addrs[skip]
-                            samples[eip] = samples.get(eip, 0) + 1
-                            skip += period
-                        skip -= executed
-                        self.instret += executed
-                        perf.superstep_entries += 1
-                        perf.superstep_instructions += executed
-                        perf.prepared_hits += executed
-                        raise
-                    count = len(fns)
-                    if skip < count:
-                        addrs = block[3]
-                        while skip < count:
-                            eip = addrs[skip]
-                            samples[eip] = samples.get(eip, 0) + 1
-                            skip += period
-                    skip -= count
-                    self.instret += count
-                    perf.superstep_entries += 1
-                    perf.superstep_instructions += count
-                    perf.prepared_hits += count
-                    continue
-                if skip == 0:
-                    eip = self.eip
-                    samples[eip] = samples.get(eip, 0) + 1
-                    skip = period
-                self.step()
-                skip -= 1
-        except CpuFault as fault:
-            return ("crash", fault)
-        finally:
-            sampler.skip = skip
-        return ("exit", getattr(self, "exit_code", 0))
-
-    def _run_stepwise(self, max_instructions):
-        """Reference run loop (used whenever instrumentation needs a
-        hook between every instruction)."""
-        try:
-            while not self.halted:
-                if self.instret >= max_instructions:
-                    return ("limit", None)
-                self.slow_step()
-        except CpuFault as fault:
-            return ("crash", fault)
-        return ("exit", getattr(self, "exit_code", 0))
-
-    def run_until(self, breakpoint_address, max_instructions):
-        """Run until EIP equals *breakpoint_address* (before executing
-        it), mirroring a debugger breakpoint.  Returns one of
-        ``("breakpoint", None)``, ``("exit", code)``,
-        ``("crash", fault)``, ``("limit", None)``.
-        """
-        if self.coverage is not None or self.trace_hook is not None:
-            return self._run_until_stepwise(breakpoint_address,
-                                            max_instructions)
-        perf = self.perf
-        blocks = self.blocks
-        try:
-            while not self.halted:
-                eip = self.eip
-                if eip == breakpoint_address:
-                    return ("breakpoint", None)
-                if self.instret >= max_instructions:
-                    return ("limit", None)
                 block = blocks.get(eip)
                 if block is None:
                     block = self._block_at(eip)
-                if (block is not None
-                        and len(block[0]) <= max_instructions
-                        - self.instret
-                        and breakpoint_address not in block[1]):
-                    fns = block[0]
+                if (block is not None and len(block[0]) <= remaining
+                        and (not stop or stop.isdisjoint(block[1]))):
+                    fns, addrs = block[0], block[3]
+                    count = len(fns)
+                    if ring is not None:
+                        ring.append(addrs)
                     try:
                         for fn in fns:
                             fn()
                     except BaseException:
-                        executed = block[3].index(self.eip)
-                        self.instret += executed
-                        perf.superstep_entries += 1
-                        perf.superstep_instructions += executed
-                        perf.prepared_hits += executed
+                        count = addrs.index(self.eip)
+                        if ring is not None:
+                            ring[-1] = addrs[:count + 1]
                         raise
-                    count = len(fns)
-                    self.instret += count
-                    perf.superstep_entries += 1
-                    perf.superstep_instructions += count
-                    perf.prepared_hits += count
+                    finally:
+                        if sampler is not None:
+                            # a sample falls due once per period, so
+                            # most supersteps only count down
+                            skip = sampler.skip
+                            if skip < count:
+                                sampler.retire(addrs, count)
+                            else:
+                                sampler.skip = skip - count
+                        self.instret += count
+                        perf.superstep_entries += 1
+                        perf.superstep_instructions += count
+                        perf.prepared_hits += count
                     continue
                 self.step()
         except CpuFault as fault:
             return ("crash", fault)
         return ("exit", getattr(self, "exit_code", 0))
 
-    def _run_until_stepwise(self, breakpoint_address, max_instructions):
+    def _run_stepwise(self, max_instructions, stop):
+        """:meth:`run` on the reference path, for instrumentation that
+        needs a hook between every instruction."""
+        observed = (self.forensic_ring is not None
+                    or self.sampler is not None)
+        step = self.step if observed else self.slow_step
         try:
             while not self.halted:
-                if self.eip == breakpoint_address:
-                    return ("breakpoint", None)
+                if self.eip in stop:
+                    return ("stop", None)
                 if self.instret >= max_instructions:
                     return ("limit", None)
-                self.slow_step()
-        except CpuFault as fault:
-            return ("crash", fault)
-        return ("exit", getattr(self, "exit_code", 0))
-
-    def run_watched(self, watch, max_instructions):
-        """Run until EIP lands on any address in the *watch* set (before
-        executing it).  A set-valued :meth:`run_until`: supersteps skip
-        the check only for blocks provably disjoint from the watch set,
-        so the fast path keeps its throughput.  Returns one of
-        ``("watched", None)``, ``("exit", code)``, ``("crash", fault)``,
-        ``("limit", None)``.
-        """
-        if self.coverage is not None or self.trace_hook is not None:
-            return self._run_watched_stepwise(watch, max_instructions)
-        perf = self.perf
-        blocks = self.blocks
-        try:
-            while not self.halted:
-                eip = self.eip
-                if eip in watch:
-                    return ("watched", None)
-                if self.instret >= max_instructions:
-                    return ("limit", None)
-                block = blocks.get(eip)
-                if block is None:
-                    block = self._block_at(eip)
-                if (block is not None
-                        and len(block[0]) <= max_instructions
-                        - self.instret
-                        and watch.isdisjoint(block[1])):
-                    fns = block[0]
-                    try:
-                        for fn in fns:
-                            fn()
-                    except BaseException:
-                        executed = block[3].index(self.eip)
-                        self.instret += executed
-                        perf.superstep_entries += 1
-                        perf.superstep_instructions += executed
-                        perf.prepared_hits += executed
-                        raise
-                    count = len(fns)
-                    self.instret += count
-                    perf.superstep_entries += 1
-                    perf.superstep_instructions += count
-                    perf.prepared_hits += count
-                    continue
-                self.step()
-        except CpuFault as fault:
-            return ("crash", fault)
-        return ("exit", getattr(self, "exit_code", 0))
-
-    def _run_watched_stepwise(self, watch, max_instructions):
-        try:
-            while not self.halted:
-                if self.eip in watch:
-                    return ("watched", None)
-                if self.instret >= max_instructions:
-                    return ("limit", None)
-                self.slow_step()
+                step()
         except CpuFault as fault:
             return ("crash", fault)
         return ("exit", getattr(self, "exit_code", 0))

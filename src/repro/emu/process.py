@@ -38,7 +38,8 @@ class ExitStatus:
     ``kind`` is ``"exit"`` (voluntary), ``"crash"`` (fault/signal) or
     ``"limit"`` (instruction budget exhausted -- the emulator's stand-in
     for a hung process that a client-side timeout would eventually
-    notice).
+    notice); :meth:`Process.run_until` and :meth:`Process.run_watched`
+    add ``"breakpoint"`` and ``"watched"``.
     """
 
     kind: str
@@ -142,18 +143,22 @@ class Process:
         return self._status(outcome, payload)
 
     def run_until(self, address, max_instructions=DEFAULT_MAX_INSTRUCTIONS):
-        outcome, payload = self.cpu.run_until(address, max_instructions)
-        if outcome == "breakpoint":
-            return ExitStatus(kind="breakpoint", instret=self.cpu.instret)
-        return self._status(outcome, payload)
+        """Run to a debugger breakpoint at *address* (status kind
+        ``breakpoint``, before executing it), exit, crash or limit."""
+        outcome, payload = self.cpu.run(max_instructions,
+                                        frozenset((address,)))
+        return self._status(outcome, payload, stop_kind="breakpoint")
 
     def run_watched(self, watch, max_instructions=DEFAULT_MAX_INSTRUCTIONS):
-        outcome, payload = self.cpu.run_watched(watch, max_instructions)
-        if outcome == "watched":
-            return ExitStatus(kind="watched", instret=self.cpu.instret)
-        return self._status(outcome, payload)
+        """:meth:`run_until` over a set of addresses: status kind
+        ``watched`` once EIP lands on any of *watch*."""
+        outcome, payload = self.cpu.run(max_instructions,
+                                        frozenset(watch))
+        return self._status(outcome, payload, stop_kind="watched")
 
-    def _status(self, outcome, payload):
+    def _status(self, outcome, payload, stop_kind=None):
+        if outcome == "stop":
+            return ExitStatus(kind=stop_kind, instret=self.cpu.instret)
         if outcome == "exit":
             return ExitStatus(kind="exit", exit_code=payload,
                               instret=self.cpu.instret)

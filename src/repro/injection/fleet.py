@@ -54,7 +54,7 @@ from multiprocessing import connection as _mp_connection
 from ..emu.perf import PerfCounters
 from ..obs.log import get_logger
 from ..obs.metrics import MetricsRegistry, record_supervision_metrics
-from ..obs.sampler import as_sampler, Sampler
+from ..obs.sampler import as_sampler, host_phase, Sampler
 from ..obs.trace import merge_trace_files, Tracer
 from .faultmodels import get_fault_model
 from .injector import SessionCache
@@ -1173,10 +1173,7 @@ class WorkerFleet:
                 state.interrupted or "incomplete",
                 journal=state.options.journal,
                 completed=state.scheduler.completed)
-        if state.sampler is not None:
-            with state.sampler.host_phase("merge"):
-                campaign, registry = self._merge(state)
-        else:
+        with host_phase(state.sampler, "merge"):
             campaign, registry = self._merge(state)
         self._emit(state, "campaign-finished",
                    counts=campaign.counts(),

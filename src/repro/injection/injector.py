@@ -26,6 +26,7 @@ from __future__ import annotations
 from ..apps.common import CONNECTION_INSTRUCTION_BUDGET
 from ..emu import Process
 from ..kernel import ServerHang
+from ..obs.sampler import host_phase
 from .snapshot import MachineSnapshot
 
 
@@ -105,11 +106,8 @@ class BreakpointSession:
         installed kernel clone has never been touched, so the whole
         restore is skipped -- the common case for NA fast exits.
         """
-        sampler = self.sampler
-        if sampler is not None:
-            with sampler.host_phase("restore"):
-                return self._restore_impl()
-        return self._restore_impl()
+        with host_phase(self.sampler, "restore"):
+            return self._restore_impl()
 
     def _restore_impl(self):
         if self._pristine:

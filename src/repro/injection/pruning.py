@@ -66,17 +66,14 @@ representative hard-fails the campaign with
 
 from __future__ import annotations
 
-import time
 import zlib
 from dataclasses import dataclass, field, replace
 
-from ..emu.machine_exceptions import CpuFault
-from ..kernel import ServerHang
 from ..x86 import (DecodeOutOfBytesError, InvalidOpcodeError,
                    KIND_COND_BRANCH, KIND_JUMP, decode,
                    disassemble_range)
 from ..x86.flags import condition_met
-from .runner import HangProbe, Watchdog
+from .runner import Watchdog
 
 #: class kinds (the ``class_id`` prefix, see module docstring).
 PRUNE_DEAD = "dead"
@@ -217,60 +214,31 @@ class GuardedWatchdog(Watchdog):
                 return False
         return True
 
-    def run(self, process, budget):
-        config = self.config
-        started = time.monotonic()
+    def _start(self, process, budget):
         cpu = process.cpu
-        try:
-            if not cpu.halted and cpu.instret < budget:
-                cpu.step()                # the corrupted instruction
-            while True:
-                if cpu.halted:
-                    status = process._status(
-                        "exit", getattr(cpu, "exit_code", 0))
-                    break
-                ceiling = min(cpu.instret + config.slice_instructions,
-                              budget)
-                if self.tripped:
-                    status = process.run(ceiling)
-                else:
-                    status = process.run_watched(self.watch, ceiling)
-                    if status.kind == "watched":
-                        if (cpu.eip == self.site
-                                and cpu.instret < budget
-                                and self.dispositions
-                                and self._members_agree(cpu)):
-                            self.rechecks += 1
-                            cpu.step()    # still in lock-step
-                        else:
-                            self.tripped = True
-                        continue
-                if status.kind != "limit" or ceiling >= budget:
-                    break
-                if config.wall_clock_limit is not None:
-                    elapsed = time.monotonic() - started
-                    if elapsed > config.wall_clock_limit:
-                        status.hang_probe = HangProbe(
-                            tight_loop=True, wall_clock=True,
-                            eip_low=cpu.eip, eip_high=cpu.eip,
-                            elapsed=elapsed)
-                        return status
-        except CpuFault as fault:
-            # only the manual steps (first instruction, recheck
-            # re-steps) can raise here; the run loops convert their
-            # own faults to a crash status.  A recheck-step fault is
-            # member-independent: the members were in lock-step.
-            return process._status("crash", fault)
-        except ServerHang as hang:
-            status = process._status("limit", None)
-            status.kind = "hang"
-            status.fault_detail = str(hang)
-            return status
-        if status.kind == "limit":
-            status.hang_probe = self._probe(process)
-            if not self.watch.isdisjoint(self.probe_seen):
-                self.tripped = True
-        return status
+        if not cpu.halted and cpu.instret < budget:
+            cpu.step()                    # the corrupted instruction
+
+    def _watched(self, process, budget):
+        cpu = process.cpu
+        if (cpu.eip == self.site and cpu.instret < budget
+                and self.dispositions and self._members_agree(cpu)):
+            self.rechecks += 1
+            # still in lock-step, so a fault here is every member's
+            cpu.step()
+        else:
+            self._trip()
+
+    def _probe(self, process):
+        probe = super()._probe(process)
+        if not self.watch.isdisjoint(self.probe_seen):
+            self._trip()
+        return probe
+
+    def _trip(self):
+        """Latch the trip and run the rest of the suffix unguarded."""
+        self.tripped = True
+        self.watch = frozenset()
 
 
 # ----------------------------------------------------------------------

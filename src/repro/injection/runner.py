@@ -47,7 +47,7 @@ from ..kernel import ServerHang
 from ..obs.forensics import capture_forensics, make_forensic_ring
 from ..obs.log import get_logger
 from ..obs.metrics import MetricsRegistry
-from ..obs.sampler import as_sampler, Sampler
+from ..obs.sampler import as_sampler, host_phase, Sampler
 from ..obs.trace import as_tracer, NULL_TRACER
 from .faultmodels import get_fault_model
 from .golden import record_golden
@@ -199,7 +199,15 @@ class HangProbe:
 
 class Watchdog:
     """Budgeted executor: runs a process in slices, enforcing the
-    wall clock, and probes ``limit`` endings for tight loops."""
+    wall clock, and probes ``limit`` endings for tight loops.
+
+    The engine's one slice loop: while :attr:`watch` is non-empty the
+    slices run through :meth:`~repro.emu.process.Process.run_watched`
+    and each hit goes to :meth:`_watched`.  The pruning guard adds
+    only its :meth:`_start`, :meth:`_watched` and :meth:`_probe`.
+    """
+
+    watch = frozenset()
 
     def __init__(self, config=None, tracer=None):
         self.config = config if config is not None else WatchdogConfig()
@@ -216,12 +224,20 @@ class Watchdog:
 
     def run(self, process, budget):
         config = self.config
+        cpu = process.cpu
         started = time.monotonic()
         try:
+            self._start(process, budget)
             while True:
-                ceiling = min(process.cpu.instret
-                              + config.slice_instructions, budget)
-                status = process.run(ceiling)
+                ceiling = min(cpu.instret + config.slice_instructions,
+                              budget)
+                if self.watch:
+                    status = process.run_watched(self.watch, ceiling)
+                    if status.kind == "watched":
+                        self._watched(process, budget)
+                        continue
+                else:
+                    status = process.run(ceiling)
                 if status.kind != "limit" or ceiling >= budget:
                     break
                 if config.wall_clock_limit is not None:
@@ -229,10 +245,13 @@ class Watchdog:
                     if elapsed > config.wall_clock_limit:
                         status.hang_probe = HangProbe(
                             tight_loop=True, wall_clock=True,
-                            eip_low=process.cpu.eip,
-                            eip_high=process.cpu.eip,
+                            eip_low=cpu.eip, eip_high=cpu.eip,
                             elapsed=elapsed)
                         return status
+        except CpuFault as fault:
+            # Only manual steps in the hooks can raise here; the run
+            # loops convert their own faults to a crash status.
+            return process._status("crash", fault)
         except ServerHang as hang:
             status = process._status("limit", None)
             status.kind = "hang"
@@ -242,13 +261,18 @@ class Watchdog:
             status.hang_probe = self._probe(process)
         return status
 
+    def _start(self, process, budget):
+        """Hook run before the first slice."""
+
+    def _watched(self, process, budget):
+        """Hook for a slice that stopped on a :attr:`watch` address."""
+
     def _probe(self, process):
-        """Single-step past the budget and measure EIP diversity."""
+        """Single-step past the budget and measure EIP diversity.
+        ``cpu.step()`` feeds the forensic ring and sampler, so a HANG
+        snapshot shows the loop body."""
         config = self.config
         cpu = process.cpu
-        # The probe bypasses the run loops, so feed the forensic ring
-        # here; a HANG snapshot then shows the loop body.
-        ring = getattr(cpu, "forensic_ring", None)
         self.probes += 1
         seen = self.probe_seen = set()
         with self.tracer.span("watchdog-probe", cat="watchdog") as span:
@@ -257,8 +281,6 @@ class Watchdog:
                     if cpu.halted:
                         return HangProbe()    # exited: was progressing
                     seen.add(cpu.eip)
-                    if ring is not None:
-                        ring.append(cpu.eip)
                     cpu.step()
             except (CpuFault, ServerHang):
                 return HangProbe()            # faulted: was progressing
@@ -372,12 +394,9 @@ def record_golden_traced(daemon, client_factory, budget, tracer,
     its host wall clock attributed to the profiler's ``golden-run``
     phase when a sampler is attached (shared by the serial runner and
     the fleet parent)."""
-    with tracer.span("golden-run") as span:
-        if sampler is None:
-            golden = record_golden(daemon, client_factory, budget)
-        else:
-            with sampler.host_phase("golden-run"):
-                golden = record_golden(daemon, client_factory, budget)
+    with tracer.span("golden-run") as span, \
+            host_phase(sampler, "golden-run"):
+        golden = record_golden(daemon, client_factory, budget)
         span.set("coverage_eips", len(golden.coverage))
     return golden
 
@@ -1284,10 +1303,8 @@ class CampaignRunner:
                                forensics=forensics)
 
     def _execute(self, point, location):
-        if self.sampler is not None:
-            with self.sampler.host_phase("experiment"):
-                return self._execute_traced(point, location)
-        return self._execute_traced(point, location)
+        with host_phase(self.sampler, "experiment"):
+            return self._execute_traced(point, location)
 
     def _execute_traced(self, point, location):
         with self.tracer.span("experiment", point=point.key,
@@ -1371,8 +1388,9 @@ class CampaignRunner:
             self.registry.counter("runtime.sessions_reused",
                                   volatile=True).inc()
         else:
-            with self.tracer.span("client-session", cat="experiment",
-                                  address="0x%x" % address) as span:
+            with host_phase(self.sampler, "client-session"), \
+                    self.tracer.span("client-session", cat="experiment",
+                                     address="0x%x" % address) as span:
                 session = BreakpointSession(self.daemon,
                                             self.client_factory,
                                             address, self.options.budget,

@@ -29,7 +29,7 @@ class RingBuffer:
     def __init__(self, capacity=None):
         self.capacity = capacity
         self._items = deque(maxlen=capacity)
-        # bound C-level append: hot paths (the CPU forensic loop does
+        # bound C-level append: hot paths (the CPU observed loop does
         # one append per superstep) skip the Python-frame dispatch.
         self.append = self._items.append
 

@@ -8,12 +8,15 @@ module attributes *retired guest instructions* to guest code.  A
 profile of a given campaign is deterministic and byte-identical
 across reruns, worker counts and host load.
 
-Zero-overhead-when-off discipline (same as the forensic ring): the
-plain ``CPU.run`` fast loop never tests the sampler; attaching one
-switches dispatch to a separate ``_run_sampled`` loop whose only
-per-superstep cost is one integer comparison against the prebuilt
-``block[3]`` address tuple.  Detached cost is exactly zero by
-construction and the attached overhead is regression-gated at <= 5%
+Zero-overhead-when-off discipline (shared with the forensic ring):
+the plain ``CPU.run`` superstep loop never tests the sampler;
+attaching one switches dispatch to the observed loop
+(``CPU._run_observed``), whose per-superstep cost is one integer
+comparison against ``skip`` (:meth:`Sampler.retire` runs only when a
+sample falls due).  That loop and ``CPU.step`` count every
+retired instruction, ``run_until``/``run_watched``, the HANG probe
+and the pruning guard's steps included.  Detached cost is zero by
+construction; the attached overhead is gated at <= 5%
 (``benchmarks/bench_emulator_speed.py::test_sampler_overhead``).
 
 Two attributions are recorded:
@@ -24,7 +27,7 @@ Two attributions are recorded:
   assembly-line map (:meth:`resolve`), rendered as per-cell hotspot
   tables and a collapsed-stack file flamegraph tools accept;
 * **host phases** -- wall-seconds per engine phase (``golden-run`` /
-  ``restore`` / ``experiment`` / ``merge``) via
+  ``client-session`` / ``restore`` / ``experiment`` / ``merge``) via
   :meth:`host_phase`, answering FastFlip's question of where the
   *analysis* time goes.  Host seconds are volatile by nature and
   never enter the deterministic metrics core.
@@ -34,6 +37,7 @@ from __future__ import annotations
 
 import json
 import time
+from contextlib import nullcontext
 
 #: default sample period in retired instructions (prime, so samples
 #: do not phase-lock with loop bodies).
@@ -65,10 +69,10 @@ class Sampler:
     """Instruction-count EIP sampler (attach to ``cpu.sampler``).
 
     ``skip`` is the number of instructions still to retire before the
-    next sample: 0 means "sample the very next instruction".  The run
-    loop decrements it by whole supersteps and indexes the block's
-    address tuple for the sampled EIP, so cost is independent of the
-    period.  The counter persists across ``run()`` slices and
+    next sample: 0 means "sample the very next instruction".
+    :meth:`retire` decrements it by whole supersteps and indexes the
+    block's address tuple for the sampled EIP, so cost is independent
+    of the period.  The counter persists across ``run()`` slices and
     experiments, keeping the stream periodic over the whole campaign.
     """
 
@@ -87,6 +91,19 @@ class Sampler:
         #: writes into).
         self.samples = self.by_phase.setdefault("experiment", {})
 
+    def retire(self, eips, count):
+        """Count *count* retired instructions whose EIPs are
+        ``eips[:count]`` (a superstep's address tuple, or one EIP
+        repeated per iteration of a rep string op)."""
+        skip = self.skip
+        if skip < count:
+            samples = self.samples
+            while skip < count:
+                eip = eips[skip]
+                samples[eip] = samples.get(eip, 0) + 1
+                skip += self.period
+        self.skip = skip - count
+
     # -- phase attribution ---------------------------------------------
 
     def set_phase(self, name):
@@ -96,7 +113,10 @@ class Sampler:
 
     def host_phase(self, name):
         """Context manager accumulating host wall-seconds for *name*
-        (``golden-run`` / ``restore`` / ``experiment`` / ``merge``)."""
+        (``golden-run`` / ``client-session`` / ``restore`` /
+        ``experiment`` / ``merge``).  Phases may nest: ``restore``
+        and ``client-session`` (the breakpoint prefix run) are timed
+        inside ``experiment``."""
         return _HostPhase(self, name)
 
     # -- serialization --------------------------------------------------
@@ -153,6 +173,11 @@ def load_profile(path):
     """The raw profile dict written by :meth:`Sampler.save`."""
     with open(path) as handle:
         return json.load(handle)
+
+
+def host_phase(sampler, name):
+    """*sampler*'s host phase *name*, or a no-op without a sampler."""
+    return nullcontext() if sampler is None else sampler.host_phase(name)
 
 
 def as_sampler(profile):

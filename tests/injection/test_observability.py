@@ -216,6 +216,15 @@ class TestSampledCampaign:
         assert sampled.crash_latencies() \
             == plain_campaign.crash_latencies()
 
+    def test_breakpoint_prefix_runs_are_a_host_phase(self, ftp_daemon,
+                                                     tmp_path):
+        path = tmp_path / "p.json"
+        run_campaign(ftp_daemon, "Client1", client1, max_points=SLICE,
+                     profile=str(path))
+        host = json.loads(path.read_text())["volatile"]["host_seconds"]
+        assert {"client-session", "experiment"} <= set(host)
+        assert host["client-session"] <= host["experiment"]
+
 
 class TestForensics:
     def test_snapshots_only_on_crash_like_outcomes(self, ftp_daemon):

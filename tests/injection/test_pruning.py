@@ -7,9 +7,12 @@ import pytest
 
 from repro.apps.ftpd import client1
 from repro.injection import (enumerate_points, get_fault_model,
-                             record_golden, run_campaign)
+                             record_golden, run_campaign, WatchdogConfig)
+from repro.injection.injector import BreakpointSession
 from repro.injection.pruning import (_classify_replacement,
-                                     PRUNE_DEAD, PRUNE_SOLO)
+                                     GuardedWatchdog, PRUNE_DEAD,
+                                     PRUNE_SOLO)
+from repro.obs.sampler import Sampler
 
 SLICE = 160   # experiments per campaign in these fast tests
 
@@ -153,3 +156,39 @@ class TestJournalResume:
             == [(r.point.key, r.outcome, r.class_id)
                 for r in first.results]
         assert resumed.counts() == pruned.counts()
+
+
+class TestGuardObservability:
+    def test_guarded_runs_are_sampled_instruction_for_instruction(
+            self, cell):
+        """The guard's manual steps and its watched slices feed the
+        sampler like any other run: with period 1 every retired
+        instruction is one sample.  Runs guarded classes in plan
+        order until one re-steps the site under a recheck."""
+        daemon, golden, points = cell
+        model = get_fault_model("branch-bit")
+        plan = model.classify_points(daemon.module, points, "old",
+                                     golden.coverage,
+                                     ranges=daemon.auth_ranges())
+        budget = 400_000
+        for site in plan.sites:
+            if site.address not in golden.coverage:
+                continue
+            session = BreakpointSession(daemon, client1, site.address,
+                                        budget)
+            site.seal(session.process.cpu)
+            for cls in site.classes:
+                if not cls.needs_guard:
+                    continue
+                guard = GuardedWatchdog(WatchdogConfig(), cls.watch,
+                                        site=cls.site,
+                                        dispositions=cls.dispositions)
+                session.run_fn = guard
+                sampler = session.process.cpu.sampler = Sampler(1)
+                status, __, ___ = model.apply(session, cls.representative,
+                                              "old", daemon.module)
+                assert sampler.total_samples \
+                    == status.instret - session.activation_instret
+                if guard.rechecks:
+                    return
+        pytest.fail("no guarded run re-stepped its site")

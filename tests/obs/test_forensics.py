@@ -56,8 +56,7 @@ class TestCaptureForensics:
         cpu.forensic_ring = make_forensic_ring()
         end = TEXT_BASE + len(module.text)
         while cpu.eip != end:
-            cpu.forensic_ring.append(cpu.eip)
-            cpu.step()
+            cpu.step()                  # step() feeds the ring
         record = capture_forensics(cpu)
         assert record["eip"] == end
         assert record["regs"]["eax"] == 12

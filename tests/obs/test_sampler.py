@@ -69,6 +69,23 @@ class TestPhases:
         assert list(sampler.host_seconds) == ["restore"]
 
 
+class TestRetire:
+    def test_counts_down_by_retired_instructions(self):
+        sampler = Sampler(period=3)
+        sampler.retire((0x10, 0x11, 0x12, 0x13), 4)
+        assert sampler.samples == {0x12: 1}
+        sampler.retire((0x20,) * 7, 7)    # a rep op's seven iterations
+        assert sampler.samples == {0x12: 1, 0x20: 2}
+        assert sampler.skip == 0          # the next one is sampled
+
+    def test_only_the_retired_prefix_is_counted(self):
+        sampler = Sampler(period=1)
+        sampler.retire((0x10, 0x11, 0x12), 2)   # 0x12 faulted
+        sampler.retire((), 0)                    # so did this one
+        assert sampler.samples == {0x10: 1, 0x11: 1}
+        assert sampler.skip == 0
+
+
 class TestSerialization:
     def test_round_trip_and_volatile_split(self, tmp_path):
         sampler = Sampler(period=7)

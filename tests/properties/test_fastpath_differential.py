@@ -17,6 +17,8 @@ from hypothesis import given, settings, strategies as st
 from repro.cc import compile_program
 from repro.emu import CPU, Memory, Process
 from repro.kernel import Kernel, ScriptedClient
+from repro.obs.forensics import make_forensic_ring
+from repro.obs.sampler import Sampler
 from repro.x86.flags import FLAGS_USER_MASK
 
 
@@ -59,17 +61,28 @@ def _fingerprint(cpu, memory, outcome):
     }
 
 
-def _run_engine(blob, fast, budget=300):
+def _run_engine(blob, fast, budget=300, stop=frozenset(),
+                observed=False):
+    """Run *blob* on one of the three loops: the plain superstep loop
+    (``fast``), the observed loop (``fast`` and ``observed``: a
+    forensic ring and a period-1 sampler attached) or the stepwise
+    reference loop.  With an observer attached, the sampler must
+    have counted every retired instruction."""
     cpu, memory = _machine(blob)
     if fast:
         cpu.cacheable = (0x1000, 0x1000 + len(blob) + 16)
     else:
         # any instrumentation forces the reference stepwise loop
         cpu.coverage = set()
+    if observed:
+        cpu.forensic_ring = make_forensic_ring()
+        cpu.sampler = Sampler(period=1)
     try:
-        outcome = cpu.run(budget)
+        outcome = cpu.run(budget, stop)
     except Exception as exc:      # non-architectural escape (hangs...)
         outcome = ("raised", type(exc).__name__)
+    if observed:
+        assert cpu.sampler.total_samples == cpu.instret
     return _fingerprint(cpu, memory, outcome)
 
 
@@ -77,6 +90,8 @@ def _assert_equivalent(blob, budget=300):
     fast = _run_engine(blob, fast=True, budget=budget)
     slow = _run_engine(blob, fast=False, budget=budget)
     assert fast == slow
+    assert _run_engine(blob, fast=True, budget=budget,
+                       observed=True) == fast
 
 
 @settings(max_examples=150, deadline=None)
@@ -125,6 +140,22 @@ def test_flipped_streams_equivalent(blob, flip):
     corrupted = bytearray(blob)
     corrupted[(flip // 8) % len(blob)] ^= 1 << (flip % 8)
     _assert_equivalent(bytes(corrupted))
+
+
+@settings(max_examples=80, deadline=None)
+@given(blob=st.binary(min_size=1, max_size=32),
+       offsets=st.sets(st.integers(0, 31), max_size=4),
+       budget=st.integers(0, 300))
+def test_stop_sets_equivalent(blob, offsets, budget):
+    """``run(budget, stop)`` halts in front of the same stop address
+    on every loop: supersteps never run through one."""
+    stop = frozenset(0x1000 + offset for offset in offsets
+                     if offset < len(blob))
+    fast = _run_engine(blob, fast=True, budget=budget, stop=stop)
+    assert _run_engine(blob, fast=False, budget=budget,
+                       stop=stop) == fast
+    assert _run_engine(blob, fast=True, budget=budget, stop=stop,
+                       observed=True) == fast
 
 
 _C_PROGRAMS = [
