@@ -7,6 +7,9 @@ code (the crypt13 hash loop and a golden FTP connection).
 
 from __future__ import annotations
 
+import sys
+import time
+
 from repro.cc import compile_program
 from repro.emu import Process
 from repro.injection import run_clean_connection
@@ -25,6 +28,46 @@ int main() {
     return digest[2] & 0x7F;
 }
 """
+
+
+def best_interleaved(run_once, rounds=5):
+    """Best-of-*rounds* seconds for ``run_once(False)`` (plain) and
+    ``run_once(True)`` (observed), alternating plain and observed
+    rounds so host drift lands on both sides alike."""
+    run_once(False)                      # warm the prepared-op cache
+    plain, observed = [], []
+    for __ in range(rounds):
+        plain.append(run_once(False)[0])
+        observed.append(run_once(True)[0])
+    return min(plain), min(observed)
+
+
+def python_opcodes(call):
+    """Python bytecodes executed by ``call()``: a deterministic cost
+    measure, blind to host speed."""
+    executed = 0
+
+    def tracer(frame, event, arg):
+        nonlocal executed
+        if event == "call":
+            frame.f_trace_opcodes = True
+        elif event == "opcode":
+            executed += 1
+        return tracer
+
+    sys.settrace(tracer)
+    try:
+        call()
+    finally:
+        sys.settrace(None)
+    return executed
+
+
+def opcode_overhead(run_once):
+    """Relative opcode cost of an observed run over a plain one."""
+    plain = python_opcodes(lambda: run_once(False))
+    observed = python_opcodes(lambda: run_once(True))
+    return plain, observed, (observed - plain) / plain
 
 
 def test_emulator_throughput(benchmark, record_result, record_json):
@@ -85,9 +128,9 @@ def test_forensic_ring_overhead(record_result, record_json):
     under 5% on the fast path when attached, and exactly nothing when
     not (``run()`` branches to a separate loop, so the plain path is
     untouched -- asserted structurally by the campaign equivalence
-    tests; measured here for the attached case)."""
-    import time
-
+    tests; measured here for the attached case).  Wall clock is
+    best-of-5 with plain and ringed rounds alternated; the Python
+    opcode count over the same loop is the deterministic companion."""
     from repro.obs.forensics import make_forensic_ring
 
     program = compile_program(HASH_LOOP)
@@ -104,19 +147,25 @@ def test_forensic_ring_overhead(record_result, record_json):
 
     # best-of-N on both variants so scheduler noise cannot fake a
     # regression (or hide one)
-    rounds = 5
-    run_once(False)                      # warm the prepared-op cache
-    plain = min(run_once(False)[0] for __ in range(rounds))
-    ringed = min(run_once(True)[0] for __ in range(rounds))
+    plain, ringed = best_interleaved(run_once)
     overhead = (ringed - plain) / plain if plain else 0.0
+    plain_ops, ring_ops, op_overhead = opcode_overhead(run_once)
     record_result("forensic_ring_overhead",
-                  "plain: %.4f s  ring: %.4f s  overhead: %.1f%%"
-                  % (plain, ringed, 100 * overhead))
+                  "plain: %.4f s  ring: %.4f s  overhead: %.1f%%\n"
+                  "opcodes: plain %d  ring %d  overhead: %.2f%%"
+                  % (plain, ringed, 100 * overhead, plain_ops, ring_ops,
+                     100 * op_overhead))
     record_json("forensic_ring_overhead", {
         "plain_seconds": plain,
         "ring_seconds": ringed,
         "overhead_fraction": overhead,
+        "plain_opcodes": plain_ops,
+        "ring_opcodes": ring_ops,
+        "opcode_overhead_fraction": op_overhead,
     })
+    assert op_overhead < 0.05, (
+        "forensic ring executes %.2f%% more Python opcodes (budget: 5%%)"
+        % (100 * op_overhead))
     assert overhead < 0.05, (
         "forensic ring costs %.1f%% (budget: 5%%)" % (100 * overhead))
 
@@ -127,9 +176,9 @@ def test_sampler_overhead(record_result, record_json):
     not.  Like the forensic ring, ``run()`` branches to the separate
     ``_run_observed`` loop, so the plain superstep loop never consults
     the sampler -- asserted structurally below, then measured for the
-    attached case."""
+    attached case: wall clock as best-of-5 with plain and sampled
+    rounds alternated, and deterministically as Python opcodes."""
     import inspect
-    import time
 
     from repro.emu.cpu import CPU
     from repro.obs.sampler import Sampler
@@ -155,23 +204,28 @@ def test_sampler_overhead(record_result, record_json):
         assert status.kind == "exit"
         return elapsed, status.instret
 
-    rounds = 5
-    run_once(False)                      # warm the prepared-op cache
-    plain = min(run_once(False)[0] for __ in range(rounds))
-    timings = [run_once(True) for __ in range(rounds)]
-    sampled = min(elapsed for elapsed, __ in timings)
-    instret = timings[0][1]
+    plain, sampled = best_interleaved(run_once)
+    instret = run_once(True)[1]
     overhead = (sampled - plain) / plain if plain else 0.0
     rate = instret / sampled if sampled else 0.0
+    plain_ops, sampled_ops, op_overhead = opcode_overhead(run_once)
     record_result("sampler_overhead",
                   "plain: %.4f s  sampled: %.4f s  overhead: %.1f%%\n"
-                  "sampled throughput: %.0f instructions/second"
-                  % (plain, sampled, 100 * overhead, rate))
+                  "sampled throughput: %.0f instructions/second\n"
+                  "opcodes: plain %d  sampled %d  overhead: %.2f%%"
+                  % (plain, sampled, 100 * overhead, rate, plain_ops,
+                     sampled_ops, 100 * op_overhead))
     record_json("sampler_overhead", {
         "plain_seconds": plain,
         "sampled_seconds": sampled,
         "overhead_fraction": overhead,
         "sampled_instructions_per_sec": rate,
+        "plain_opcodes": plain_ops,
+        "sampled_opcodes": sampled_ops,
+        "opcode_overhead_fraction": op_overhead,
     })
+    assert op_overhead < 0.05, (
+        "sampler executes %.2f%% more Python opcodes (budget: 5%%)"
+        % (100 * op_overhead))
     assert overhead < 0.05, (
         "sampler costs %.1f%% (budget: 5%%)" % (100 * overhead))

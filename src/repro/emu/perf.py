@@ -4,7 +4,8 @@ The fast-path engine (prepared-op cache, lazy EFLAGS, basic-block
 supersteps -- see :mod:`repro.emu.cpu`) trades bookkeeping for
 throughput; these counters make that trade observable so a regression
 in cache hit rate or flag elision shows up in benchmark output and in
-``CampaignResult.timing`` instead of only in wall clock.
+a campaign's ``engine.*`` metrics (``CampaignResult.timing["perf"]``)
+instead of only in wall clock.
 
 Counters are observational: they never influence execution, and a
 fault mid-superstep may leave the superstep counters off by a few
@@ -13,9 +14,9 @@ fault mid-superstep may leave the superstep counters off by a few
 
 from __future__ import annotations
 
-_FIELDS = ("prepared_hits", "prepared_misses", "flags_forced",
-           "flags_elided", "superstep_entries", "superstep_instructions",
-           "syscalls")
+FIELDS = ("prepared_hits", "prepared_misses", "flags_forced",
+          "flags_elided", "superstep_entries", "superstep_instructions",
+          "syscalls")
 
 
 class PerfCounters:
@@ -34,45 +35,20 @@ class PerfCounters:
         ``int $0x80`` dispatches into the kernel model.
     """
 
-    __slots__ = _FIELDS
+    __slots__ = FIELDS
 
     def __init__(self):
-        for name in _FIELDS:
+        for name in FIELDS:
             setattr(self, name, 0)
 
     def reset(self):
-        for name in _FIELDS:
+        for name in FIELDS:
             setattr(self, name, 0)
 
     def as_dict(self):
-        return {name: getattr(self, name) for name in _FIELDS}
-
-    def absorb(self, other):
-        """Add another counter block (a retired CPU's) into this one."""
-        for name in _FIELDS:
-            setattr(self, name, getattr(self, name) + getattr(other, name))
-        return self
-
-    def absorb_dict(self, record):
-        """Add a serialized counter dict (shard timing payloads);
-        missing keys count as zero.  An unknown key -- a shard payload
-        carrying a counter this build does not track, i.e. dropped
-        data -- warns once per key through the ``repro`` logger
-        instead of disappearing silently."""
-        if not record:
-            return self
-        for name in record:
-            if name not in _FIELDS:
-                from ..obs.log import warn_once
-                warn_once(("perf-unknown-counter", name),
-                          "PerfCounters.absorb_dict: unknown counter "
-                          "%r ignored (not aggregated)", name)
-        for name in _FIELDS:
-            setattr(self, name, getattr(self, name)
-                    + int(record.get(name, 0)))
-        return self
+        return {name: getattr(self, name) for name in FIELDS}
 
     def __repr__(self):
         inner = ", ".join("%s=%d" % (name, getattr(self, name))
-                          for name in _FIELDS)
+                          for name in FIELDS)
         return "PerfCounters(%s)" % inner

@@ -259,15 +259,19 @@ class CampaignResult:
     #: points excluded after quarantine-with-retry; never part of
     #: ``results`` or any percentage.
     quarantined: list = field(default_factory=list)
-    #: wall-clock/throughput record (see
+    #: wall-clock/throughput record: a view of the volatile section
+    #: of ``metrics`` (see
     #: :func:`repro.injection.runner.campaign_timing`); observational
     #: metadata only -- never part of any tally or comparison.
     timing: dict | None = None
     #: serialized metrics registry
-    #: (:class:`repro.obs.metrics.MetricsRegistry`): outcome tallies,
-    #: crash-latency histogram, quarantine/retry counts, plus a
-    #: ``volatile`` section (wall clock, engine counters) that may
-    #: differ between runs.  Observational only, like ``timing``.
+    #: (:class:`repro.obs.metrics.MetricsRegistry`).  Its deterministic
+    #: core (outcome tallies, crash-latency histogram, quarantine and
+    #: retry counts) is a function of ``results`` and ``quarantined``
+    #: (:func:`repro.injection.runner.finish_campaign`); its
+    #: ``volatile`` section (wall clock, engine counters, supervision
+    #: events seen while the campaign was live) may differ between
+    #: runs.  Observational only, like ``timing``.
     metrics: dict | None = None
 
     @property

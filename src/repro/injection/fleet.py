@@ -22,24 +22,32 @@ fleet is the execution layer under the scheduling layer of
   journals to the worker's ``<journal>.shardK`` file
   (:mod:`repro.injection.parallel`), so resume, the salvage loader and
   ``repro status`` read one format;
-* supervision: progress ticks are heartbeats; a dead, wedged or
-  erroring worker incarnation is respawned with exponential backoff
-  against a per-worker restart budget, whatever it journaled is
-  salvaged and its next incarnation resumes the rest of its unit; a
-  worker that exhausts its budget is retired and that remainder
-  migrates to a sibling (or, with every worker retired, runs inline
-  in the parent); SIGTERM/SIGINT or a deadline checkpoint the
-  campaign through :meth:`WorkerFleet.drain`.
+* supervision: progress ticks are heartbeats; a dead or wedged
+  worker incarnation is respawned with exponential backoff against a
+  per-worker restart budget, whatever it journaled is salvaged and
+  its next incarnation resumes the rest of its unit; a worker that
+  exhausts its budget is retired and that remainder migrates to a
+  sibling (or, with every worker retired, runs inline in the parent).
+  A unit that raises is charged to the unit, not the worker: its
+  salvaged remainder is requeued and the incarnation respawned
+  without spending the budget, and past ``unit_attempts`` the unit
+  runs inline.  SIGTERM/SIGINT or a deadline checkpoint the campaign
+  through :meth:`WorkerFleet.drain`.
 
-Every supervision event is counted (:data:`EVENT_NAMES`, exported as
-volatile ``supervisor.*`` metrics) and marked on the campaign trace,
-so a recovered campaign is visibly recovered.
+Every supervision event is counted (:data:`EVENT_NAMES`) and marked
+on the trace of every live campaign.  Each campaign exports, as
+volatile ``supervisor.*`` metrics, the counts of the events that
+happened while it was live, so a recovered campaign is visibly
+recovered and a later campaign on the same fleet starts from zero.
 
 Determinism: completions are keyed by point and merged by enumeration
-index (:meth:`CampaignScheduler.merged_results`), so Tables 1/3/5,
-Figure 4 and the deterministic metrics core are byte-identical to a
-serial run no matter how units interleaved, migrated between workers,
-or were salvaged and requeued after a crash.
+index (:meth:`CampaignScheduler.merged_results`), and the merge
+derives the deterministic metrics core from the merged records
+(:func:`~repro.injection.runner.finish_campaign`), so Tables 1/3/5,
+Figure 4 and the core are byte-identical to a serial run no matter
+how units interleaved, migrated between workers, or were salvaged and
+requeued after a crash.  ``timing`` and its per-unit ``shards``
+entries are views of the merged volatile metrics.
 """
 
 from __future__ import annotations
@@ -51,9 +59,8 @@ import traceback
 from dataclasses import dataclass, field, replace
 from multiprocessing import connection as _mp_connection
 
-from ..emu.perf import PerfCounters
 from ..obs.log import get_logger
-from ..obs.metrics import MetricsRegistry, record_supervision_metrics
+from ..obs.metrics import MetricsRegistry
 from ..obs.sampler import as_sampler, host_phase, Sampler
 from ..obs.trace import merge_trace_files, Tracer
 from .faultmodels import get_fault_model
@@ -61,12 +68,12 @@ from .injector import SessionCache
 from .parallel import (_record_key, default_daemon_factory,
                        discover_shard_journals, load_shard_journals,
                        shard_journal_path)
-from .runner import (_point_key, campaign_timing, checkpoint_requests,
+from .runner import (_point_key, checkpoint_requests,
                      CampaignInterrupted, CampaignJournal, CampaignRunner,
-                     declare_campaign_metrics, install_stop_handlers,
-                     JournalError, record_golden_traced,
-                     record_result_metrics, record_runtime_metrics,
-                     validate_journal_meta, WatchdogConfig)
+                     count_engine_work, finish_campaign,
+                     install_stop_handlers, JournalError,
+                     record_golden_traced, validate_journal_meta,
+                     WatchdogConfig)
 from .scheduler import CampaignScheduler, UNIT_INSTRUCTIONS
 
 _LOGGER = get_logger("fleet")
@@ -77,8 +84,9 @@ BUSY = "busy"
 BACKOFF = "backoff"
 RETIRED = "retired"
 
-#: every supervision event the fleet counts (and the metrics registry
-#: exports as ``supervisor.<name>`` volatile counters).  A retired
+#: every supervision event the fleet counts (each campaign exports the
+#: counts accrued while it was live as ``supervisor.<name>`` volatile
+#: counters).  A retired
 #: worker counts as a ``failed_shards`` event, and the points of the
 #: unit it held, which migrate to its siblings, as ``degraded`` /
 #: ``degraded_points``.  ``pipe_errors`` counts message channels torn
@@ -290,40 +298,32 @@ def _run_unit(emit, stop, ctx, unit, daemons, goldens, sessions,
     campaign = runner.run()
     goldens[cell] = runner._golden
     payload = _unit_payload(campaign, unit, worker, tracer)
-    records = len(payload["results"]) + len(payload["quarantined"])
-    payload["timing"]["experiments"] = records
     payload["profile"] = sampler.as_dict() if sampler is not None \
         else None
     if options.journal is not None:
-        CampaignJournal.mark_unit(options.journal, unit.unit_id,
-                                  records, campaign=cid)
+        CampaignJournal.mark_unit(
+            options.journal, unit.unit_id,
+            len(campaign.results) + len(campaign.quarantined),
+            campaign=cid)
     emit("unit-done", cid, unit.unit_id, payload)
 
 
 def _unit_payload(campaign, unit, shard, tracer):
-    """What a finished unit hands the parent's merge: its records,
-    timing, metrics and trace events.  A shard journal accumulates
-    every unit of its campaign, and a resume loads *all* its
-    quarantine records -- so the payload (and its metrics counter) is
-    restricted to this unit's own points, and the parent's exact
-    metric aggregation never double-counts."""
+    """What a finished unit hands the parent's merge: its records, its
+    metrics dump (the merge folds in the volatile section and
+    ``retry_requeues``, and views it as this unit's
+    ``timing["shards"]`` entry), which unit it was, and its trace
+    events."""
     from ..analysis.serialize import (quarantined_to_dict,
                                       result_to_dict)
-    unit_keys = set(unit.keys)
-    quarantined = [entry for entry in campaign.quarantined
-                   if _point_key(entry.point) in unit_keys]
-    metrics = campaign.metrics
-    metrics["counters"]["quarantined"] = len(quarantined)
-    timing = dict(campaign.timing or {})
-    timing.update(shard=shard, unit=unit.unit_id,
-                  points=len(unit.points))
     return {
         "results": [result_to_dict(result)
                     for result in campaign.results],
         "quarantined": [quarantined_to_dict(entry)
-                        for entry in quarantined],
-        "timing": timing,
-        "metrics": metrics,
+                        for entry in campaign.quarantined],
+        "metrics": campaign.metrics,
+        "unit": {"shard": shard, "unit": unit.unit_id,
+                 "points": len(unit.points)},
         "trace": tracer.events() if tracer is not None else None,
     }
 
@@ -352,7 +352,6 @@ class WorkerSlot:
     reserved: tuple | None = None
     #: campaign ids whose context this incarnation has received.
     known: set = field(default_factory=set)
-    failures: list = field(default_factory=list)
 
 
 class FleetCampaignState:
@@ -360,8 +359,8 @@ class FleetCampaignState:
 
     def __init__(self, cid, daemon, client_name, client_factory,
                  encoding, model, options, scheduler, golden,
-                 golden_reused, daemon_factory, tracer, root_cm,
-                 root_span, progress, on_unit, resumed_quarantined,
+                 daemon_factory, tracer, root_cm, root_span, progress,
+                 on_unit, events_seen, failures_seen,
                  telemetry_campaign=None, sampler=None):
         self.cid = cid
         self.daemon = daemon
@@ -374,14 +373,12 @@ class FleetCampaignState:
         self.options = options
         self.scheduler = scheduler
         self.golden = golden
-        self.golden_reused = golden_reused
         self.daemon_factory = daemon_factory
         self.tracer = tracer
         self.root_cm = root_cm
         self.root_span = root_span
         self.progress = progress
         self.on_unit = on_unit
-        self.resumed_quarantined = resumed_quarantined
         #: telemetry label (defaults to the fleet-local cid) and the
         #: parent-side profile sampler worker profiles fold into.
         self.telemetry_campaign = (telemetry_campaign
@@ -389,10 +386,16 @@ class FleetCampaignState:
                                    else cid)
         self.sampler = sampler
         self.started = time.monotonic()
-        #: unit payloads keyed by unit index (exact metric absorption
-        #: happens in unit order at finalize).
+        #: the campaign's volatile measurements so far; the merge folds
+        #: its units in and derives the rest from the merged result.
+        self.registry = MetricsRegistry()
+        #: the fleet's supervision tallies and failure count at submit:
+        #: the campaign reports only what happened while it was live.
+        self.events_seen = events_seen
+        self.failures_seen = failures_seen
+        #: unit payloads keyed by unit index (folded in unit order at
+        #: finalize).
         self.payloads = {}
-        self.executed = 0
         self.partials = {}        # worker -> in-flight progress count
         self.interrupted = None
         #: why the campaign failed (its inline fallback failed too);
@@ -450,14 +453,16 @@ class WorkerFleet:
     interleave units from every live campaign.  Workers start on
     :meth:`start` or the first :meth:`pump`, so a campaign resumed
     from complete journals forks none.  Supervision: progress ticks
-    are heartbeats, dead, wedged or erroring workers are respawned
-    with exponential backoff against a per-incarnation restart budget,
+    are heartbeats, dead or wedged workers are respawned with
+    exponential backoff against a per-incarnation restart budget,
     whatever such a worker journaled is salvaged and its next
     incarnation resumes the remainder of its unit; a retired worker's
     remainder goes to the front of the queue for its siblings, and
     when every slot is retired the parent finishes remaining units
-    inline with its own daemons.  :meth:`drain` checkpoints every
-    in-flight unit for the service's graceful shutdown.
+    inline with its own daemons.  A unit error requeues the unit and
+    respawns its worker at no cost to the budget (:meth:`_unit_error`).
+    :meth:`drain` checkpoints every in-flight unit for the service's
+    graceful shutdown.
     """
 
     def __init__(self, config=None, chaos=None, telemetry=None):
@@ -467,9 +472,10 @@ class WorkerFleet:
                              % self.config.workers)
         self.chaos = chaos
         #: :class:`~repro.obs.events.EventBus` for live campaign
-        #: events (``self.events`` is the supervision counter dict, a
-        #: different thing).  Only the parent emits, on message
-        #: receipt, so per-campaign sequence numbers stay contiguous.
+        #: events (``self.events`` is the fleet's lifetime supervision
+        #: tally, a different thing; campaigns report its deltas).
+        #: Only the parent emits, on message receipt, so per-campaign
+        #: sequence numbers stay contiguous.
         self.telemetry = telemetry
         self.slots = {}
         self.campaigns = {}
@@ -638,7 +644,6 @@ class WorkerFleet:
         scheduler = CampaignScheduler(
             points, unit_instructions=self.config.unit_instructions,
             min_units=min_units)
-        resumed_quarantined = {}
         journal = options.journal
         if journal is not None and not options.resume:
             for path in discover_shard_journals(journal) + [journal]:
@@ -656,15 +661,19 @@ class WorkerFleet:
             for meta in metas:
                 validate_journal_meta(meta, expected, journal)
             scheduler.preload(results, quarantined)
-            resumed_quarantined = {
-                key: record for key, record in quarantined.items()
-                if key in scheduler.order}
         state = FleetCampaignState(
             cid, daemon, client_name, client_factory, encoding, model,
-            options, scheduler, golden, golden_reused, daemon_factory,
-            tracer, root_cm, root_span, progress, on_unit,
-            resumed_quarantined, telemetry_campaign=telemetry_campaign,
+            options, scheduler, golden, daemon_factory, tracer, root_cm,
+            root_span, progress, on_unit, dict(self.events),
+            len(self.failures), telemetry_campaign=telemetry_campaign,
             sampler=sampler)
+        if golden_reused:
+            state.registry.counter("runtime.golden_reused",
+                                   volatile=True).inc()
+        else:
+            state.registry.counter("runtime.golden_runs",
+                                   volatile=True).inc()
+            count_engine_work(state.registry, golden.perf)
         self.campaigns[cid] = state
         self._emit(state, "golden", reused=golden_reused,
                    coverage_eips=len(golden.coverage))
@@ -755,16 +764,27 @@ class WorkerFleet:
             self.events["checkpoints"] += 1
             self._release_unit(slot, state, salvage=True)
         elif kind == "unit-error":
-            # An error leaves the incarnation suspect (its warm state
-            # may be what failed): stop it and treat it like a death,
-            # so the restart budget and retirement apply.
-            self.events["worker_errors"] += 1
-            slot.process.kill()
-            join_process(slot.process)
-            self._failure(slot, "worker %d incarnation %d: unit %s of "
-                          "%s errored:\n%s"
-                          % (slot.worker, slot.incarnation, message[4],
-                             cid, message[5]))
+            self._unit_error(slot, state, "worker %d incarnation %d: "
+                             "unit %s of %s errored:\n%s"
+                             % (slot.worker, slot.incarnation,
+                                message[4], cid, message[5]))
+
+    def _unit_error(self, slot, state, detail):
+        """Charge a unit's error to the unit, not the worker: a
+        campaign's own fault (a journal in a missing directory) must
+        not retire a shared fleet's workers.  The salvaged remainder
+        is requeued, so ``unit_attempts`` bounds it and then the
+        parent runs it inline.  The incarnation is suspect (its warm
+        state may be what failed), so it is replaced at once, without
+        spending its restart budget; deaths and wedges still do."""
+        self.events["worker_errors"] += 1
+        self.failures.append((slot.worker, detail))
+        _LOGGER.warning("%s; requeueing the unit and respawning the "
+                        "worker", detail.splitlines()[0])
+        slot.process.kill()
+        join_process(slot.process)
+        self._release_unit(slot, state, salvage=True)
+        self._respawn(slot)
 
     def _unit_done(self, slot, state, unit_id, payload):
         if slot.current is None or slot.current[1].unit_id != unit_id:
@@ -788,7 +808,6 @@ class WorkerFleet:
             scheduler.record_quarantine(key, record)
         scheduler.complete(unit)
         state.payloads[unit.index] = payload
-        state.executed += payload["timing"].get("executed", 0)
         if state.sampler is not None:
             state.sampler.absorb_dict(payload.get("profile"))
         self._mark_unit(state, unit, status="done",
@@ -868,22 +887,6 @@ class WorkerFleet:
         salvaged = len(new_results) + len(new_quarantined)
         if salvaged:
             self.events["salvaged_points"] += salvaged
-            # No unit payload will arrive for these records: rebuild
-            # their share of the deterministic metrics so the exact
-            # aggregation still matches a serial run.
-            from ..analysis.serialize import result_from_dict
-            registry = declare_campaign_metrics(MetricsRegistry())
-            for record in new_results.values():
-                record_result_metrics(registry,
-                                      result_from_dict(record))
-            registry.counter("quarantined").inc(len(new_quarantined))
-            state.payloads[unit.index] = {
-                "results": [], "quarantined": [],
-                "timing": {"shard": worker, "unit": unit.unit_id,
-                           "executed": 0, "salvaged": salvaged},
-                "metrics": registry.as_dict(),
-                "trace": None,
-            }
             _LOGGER.info("salvaged %d journaled record(s) of unit %s "
                          "from worker %d", salvaged, unit.unit_id,
                          worker)
@@ -911,7 +914,6 @@ class WorkerFleet:
                                now - slot.last_beat))
 
     def _failure(self, slot, detail):
-        slot.failures.append(detail)
         self.failures.append((slot.worker, detail))
         slot.dead_since = None
         # The remainder of the failed unit stays with this worker: its
@@ -963,7 +965,6 @@ class WorkerFleet:
             state.tracer.instant(
                 "fleet-respawn", cat="supervisor", worker=slot.worker,
                 incarnation=slot.incarnation)
-            break
         _LOGGER.info("respawning worker %d (incarnation %d)",
                      slot.worker, slot.incarnation)
         self._spawn(slot)
@@ -1053,12 +1054,14 @@ class WorkerFleet:
     def _complete_inline(self, state, unit):
         """Run *unit* inline; the last resort, so its failure fails
         the campaign (and only that campaign: :meth:`finalize` raises
-        the error), naming every worker failure that led here."""
+        the error), naming the worker failures seen while it was
+        live."""
         try:
             self._run_unit_inline(state, unit)
         except Exception as error:
-            details = "\n".join("worker %d: %s" % failure
-                                for failure in self.failures)
+            details = "\n".join(
+                "worker %d: %s" % failure
+                for failure in self.failures[state.failures_seen:])
             state.error = RuntimeError(
                 "campaign could not self-heal: inline completion of "
                 "unit %s failed after worker failure(s):\n%s"
@@ -1092,7 +1095,7 @@ class WorkerFleet:
                    inline=True)
         payload = _unit_payload(runner.run(), unit, self._inline_tid,
                                 tracer)
-        payload["timing"]["inline"] = True
+        payload["unit"]["inline"] = True
         self._absorb_unit(state, unit, payload, self._inline_tid,
                           inline=True)
 
@@ -1164,21 +1167,19 @@ class WorkerFleet:
         if state.error is not None:
             self._flush_observability(state, None)
             raise state.error
-        if state.interrupted is not None \
-                or not state.scheduler.finished:
-            registry = declare_campaign_metrics(MetricsRegistry())
-            record_supervision_metrics(registry, self.events)
-            self._flush_observability(state, registry)
-            raise CampaignInterrupted(
-                state.interrupted or "incomplete",
-                journal=state.options.journal,
-                completed=state.scheduler.completed)
         with host_phase(state.sampler, "merge"):
-            campaign, registry = self._merge(state)
-        self._emit(state, "campaign-finished",
-                   counts=campaign.counts(),
-                   quarantined=len(campaign.quarantined))
-        self._flush_observability(state, registry)
+            campaign = self._merge(state)
+        interrupted = state.interrupted or (
+            None if state.scheduler.finished else "incomplete")
+        if interrupted is None:
+            self._emit(state, "campaign-finished",
+                       counts=campaign.counts(),
+                       quarantined=len(campaign.quarantined))
+        self._flush_observability(state, state.registry)
+        if interrupted is not None:
+            raise CampaignInterrupted(
+                interrupted, journal=state.options.journal,
+                completed=state.scheduler.completed)
         return campaign
 
     def _flush_observability(self, state, registry):
@@ -1196,6 +1197,11 @@ class WorkerFleet:
             registry.save(options.metrics)
 
     def _merge(self, state):
+        """The campaign's records in enumeration order -- all of them,
+        or on a checkpoint the completed ones -- with metrics and
+        timing derived from them (:func:`finish_campaign`): the core
+        comes out identical to a serial run's, and the supervision
+        counters are what the fleet saw while the campaign was live."""
         from ..analysis.serialize import (quarantined_from_dict,
                                           result_from_dict)
         from .campaign import CampaignResult
@@ -1209,56 +1215,19 @@ class WorkerFleet:
         campaign.quarantined = [
             quarantined_from_dict(record)
             for record in scheduler.merged_quarantined()]
-        perf = PerfCounters()
-        perf.absorb_dict(state.golden.perf)
-        for index in sorted(state.payloads):
-            perf.absorb_dict(
-                state.payloads[index]["timing"].get("perf"))
-        wall_clock = time.monotonic() - state.started
-        campaign.timing = campaign_timing(
-            wall_clock=wall_clock,
-            experiments=len(campaign.results)
-            + len(campaign.quarantined),
-            executed=state.executed,
-            workers=self.config.workers,
-            shards=[state.payloads[index]["timing"]
-                    for index in sorted(state.payloads)],
-            perf=perf.as_dict())
-        # Exact metric aggregation, mirroring the parallel merge: unit
-        # registries absorbed in unit order, then what only the parent
-        # saw -- records preloaded from journals at submit, its own
-        # golden run (or cell-cache reuse) and the fleet's supervision
-        # counters.  The deterministic section comes out identical to
-        # a serial run's.
-        registry = declare_campaign_metrics(MetricsRegistry())
-        for index in sorted(state.payloads):
-            registry.absorb_dict(state.payloads[index].get("metrics"))
-        order = scheduler.order
-        resumed_results = sorted(
-            (key for key in scheduler.resumed
-             if key in scheduler.results), key=order.__getitem__)
-        for key in resumed_results:
-            record_result_metrics(
-                registry, result_from_dict(scheduler.results[key]))
+        registry = state.registry
         registry.counter("runtime.resumed", volatile=True).inc(
             len(scheduler.resumed))
-        registry.counter("quarantined").inc(
-            len(state.resumed_quarantined))
-        registry.gauge("points").set(scheduler.total)
-        if state.golden_reused:
-            registry.counter("runtime.golden_reused",
-                             volatile=True).inc()
-        else:
-            registry.counter("runtime.golden_runs",
-                             volatile=True).inc()
-        parent_perf = PerfCounters()
-        parent_perf.absorb_dict(state.golden.perf)
-        record_runtime_metrics(registry, wall_clock, state.executed,
-                               perf=parent_perf.as_dict(),
-                               workers=self.config.workers)
-        record_supervision_metrics(registry, self.events)
-        campaign.metrics = registry.as_dict()
-        return campaign, registry
+        for name in EVENT_NAMES:
+            registry.counter("supervisor." + name, volatile=True).inc(
+                self.events[name] - state.events_seen[name])
+        finish_campaign(
+            campaign, registry, scheduler.total,
+            time.monotonic() - state.started,
+            workers=self.config.workers,
+            units=[state.payloads[index]
+                   for index in sorted(state.payloads)])
+        return campaign
 
 
 # ----------------------------------------------------------------------

@@ -42,7 +42,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from ..emu.machine_exceptions import CpuFault
-from ..emu.perf import PerfCounters
+from ..emu.perf import FIELDS as PERF_FIELDS
 from ..kernel import ServerHang
 from ..obs.forensics import capture_forensics, make_forensic_ring
 from ..obs.log import get_logger
@@ -313,76 +313,91 @@ def refine_limit_outcome(outcome, detail, status):
     return HANG, detail, eip_range
 
 
-def campaign_timing(wall_clock, experiments, executed, workers=1,
-                    shards=None, perf=None):
-    """Timing record attached to ``CampaignResult.timing``.
+def campaign_timing(metrics):
+    """``CampaignResult.timing``: a view of a metrics dump's volatile
+    section (the core supplies the record count).
 
-    ``experiments`` counts every record in the final tally (including
-    ones reconstructed from a journal); ``executed`` only the
-    experiments actually run this invocation, so ``experiments_per_sec``
-    measures real throughput, not resume speed.  ``perf``, when given,
-    is the campaign's aggregated execution-engine counter dict (see
-    :class:`repro.emu.perf.PerfCounters`).
+    ``experiments`` counts every record in the tally (including ones
+    reconstructed from a journal); ``executed`` (``runtime.executed``)
+    only the experiments actually run this invocation, so
+    ``experiments_per_sec`` measures real throughput, not resume
+    speed.  ``perf`` is the ``engine.*`` counters: the execution
+    engine's :class:`repro.emu.perf.PerfCounters` summed over the
+    campaign's golden run and sessions.
     """
-    timing = {
-        "wall_clock": wall_clock,
-        "experiments": experiments,
-        "executed": executed,
-        "experiments_per_sec": (executed / wall_clock
-                                if wall_clock > 0 else 0.0),
-        "workers": workers,
+    core = metrics["counters"]
+    counters = metrics["volatile"]["counters"]
+    gauges = metrics["volatile"]["gauges"]
+    return {
+        "wall_clock": gauges["wall_clock_seconds"],
+        "experiments": core["experiments"] + core["quarantined"],
+        "executed": counters["runtime.executed"],
+        "experiments_per_sec": gauges["experiments_per_sec"],
+        "workers": gauges["workers"],
+        "perf": {name: counters["engine." + name]
+                 for name in PERF_FIELDS},
     }
-    if shards is not None:
-        timing["shards"] = shards
-    if perf is not None:
-        timing["perf"] = perf
-    return timing
 
 
-# ----------------------------------------------------------------------
-# Metrics plumbing (shared by the serial runner and the fleet so the
-# deterministic section is identical for every worker count)
+def count_engine_work(registry, perf):
+    """Add an execution-engine counter dict (a golden run's, or a
+    session's delta) to the volatile ``engine.*`` counters."""
+    for name, value in perf.items():
+        registry.counter("engine." + name, volatile=True).inc(value)
 
-def declare_campaign_metrics(registry):
-    """Pre-declare the deterministic campaign instruments so every
-    registry -- serial, work unit, fleet parent -- carries the same
-    key set even at zero counts."""
-    registry.counter("experiments")
+
+def finish_campaign(campaign, registry, points, wall_clock, workers=1,
+                    units=None):
+    """Derive ``campaign.metrics`` and ``campaign.timing`` from the
+    campaign itself; the serial runner and the fleet merge both end
+    here.
+
+    The deterministic core -- ``experiments``, ``outcome.*``,
+    ``activated``, ``quarantined``, ``crash_latency`` and the
+    ``points`` gauge -- is a function of the campaign's records, so a
+    serial run, a fleet merge and a resumed run agree on it by
+    construction.  ``retry_requeues`` is the one core counter recorded
+    while running.  *registry* holds the run's volatile measurements
+    (engine counters, sessions, pruning, supervision,
+    ``runtime.executed``), and ``timing`` is a view of it
+    (:func:`campaign_timing`).  *units* are a fleet campaign's unit
+    payloads: their volatile sections and ``retry_requeues`` fold into
+    *registry*, and each becomes one ``timing["shards"]`` entry.
+
+    Call it once per registry.  On a checkpoint exit *campaign* holds
+    the completed prefix, so the partial dump's core counts exactly
+    the journaled records.
+    """
+    for payload in units or ():
+        metrics = payload["metrics"]
+        registry.absorb_dict({"volatile": metrics["volatile"]})
+        registry.counter("retry_requeues").inc(
+            metrics["counters"]["retry_requeues"])
+    registry.counter("experiments").inc(len(campaign.results))
     registry.counter("activated")
-    registry.counter("quarantined")
+    latency = registry.histogram("crash_latency")
+    for result in campaign.results:
+        registry.counter("outcome.%s" % result.outcome).inc()
+        if result.activated:
+            registry.counter("activated").inc()
+        if result.crash_latency is not None:
+            latency.observe(result.crash_latency)
+    registry.counter("quarantined").inc(len(campaign.quarantined))
     registry.counter("retry_requeues")
-    registry.histogram("crash_latency")
-    # resumed counts depend on execution history (how often the
-    # campaign was killed and restarted), not on the campaign spec, so
-    # they live with the other run-shape measurements.
-    registry.counter("runtime.resumed", volatile=True)
-    return registry
-
-
-def record_result_metrics(registry, result):
-    """Fold one experiment record into the deterministic section."""
-    registry.counter("experiments").inc()
-    registry.counter("outcome.%s" % result.outcome).inc()
-    if result.activated:
-        registry.counter("activated").inc()
-    if result.crash_latency is not None:
-        registry.histogram("crash_latency").observe(
-            result.crash_latency)
-
-
-def record_runtime_metrics(registry, wall_clock, executed, perf=None,
-                           workers=1):
-    """Operational (volatile) measurements: wall clock, throughput and
-    the execution engine's counters.  These legitimately differ
-    between worker counts -- a parallel campaign performs one golden
-    run per shard plus the parent's -- which is exactly why they live
-    in the registry's volatile section."""
+    registry.gauge("points").set(points)
+    executed = registry.counter("runtime.executed", volatile=True).value
+    for name in PERF_FIELDS:
+        registry.counter("engine." + name, volatile=True)
     registry.gauge("wall_clock_seconds", volatile=True).set(wall_clock)
     registry.gauge("experiments_per_sec", volatile=True).set(
         executed / wall_clock if wall_clock > 0 else 0.0)
     registry.gauge("workers", volatile=True).set(workers)
-    for name, value in (perf or {}).items():
-        registry.counter("engine.%s" % name, volatile=True).inc(value)
+    campaign.metrics = registry.as_dict()
+    campaign.timing = campaign_timing(campaign.metrics)
+    if units is not None:
+        campaign.timing["shards"] = [
+            {**campaign_timing(payload["metrics"]), **payload["unit"]}
+            for payload in units]
 
 
 # ----------------------------------------------------------------------
@@ -698,7 +713,7 @@ class CampaignRunner:
         self.stop_check = stop_check
         #: chaos hooks (:mod:`repro.injection.chaos`).
         self.chaos = chaos
-        self.registry = declare_campaign_metrics(MetricsRegistry())
+        self.registry = MetricsRegistry()
         # Session cache: points arrive in address order, so a private
         # cache keeps one live session (plus the unreachable set, so a
         # disagreeing address is probed once, not once per bit).  A
@@ -768,9 +783,8 @@ class CampaignRunner:
         return None
 
     def _run_traced(self, root_span):
-        from .campaign import CampaignResult, QuarantinedPoint
+        from .campaign import CampaignResult
         started = time.monotonic()
-        self._perf = PerfCounters()
         if self.golden is not None:
             # Warm path: the cell's golden run (and its perf share)
             # was recorded by an earlier campaign; only count the
@@ -783,7 +797,7 @@ class CampaignRunner:
                                           self.client_factory,
                                           self.options.budget, self.tracer,
                                           self.sampler)
-            self._perf.absorb_dict(golden.perf)
+            count_engine_work(self.registry, golden.perf)
             self.registry.counter("runtime.golden_runs",
                                   volatile=True).inc()
         self._golden = golden
@@ -814,7 +828,7 @@ class CampaignRunner:
                                   encoding=self.encoding,
                                   fault_model=self.model.name,
                                   golden=golden)
-        journaled, quarantined_records = self._load_journal(campaign)
+        journaled, quarantined_records = self._load_journal(points)
         journal = None
         if self.options.journal is not None:
             journal = CampaignJournal(
@@ -834,39 +848,9 @@ class CampaignRunner:
         finally:
             if journal is not None:
                 journal.close()
-        for record in quarantined_records.values():
-            campaign.quarantined.append(QuarantinedPoint(
-                point=self._point_from_record(record["point"]),
-                location=record["location"],
-                outcomes=tuple(record["outcomes"]),
-                rounds=record["rounds"]))
-        self._retire_session()
-        wall_clock = time.monotonic() - started
-        # fanned-out class members were journaled without running;
-        # audit re-executions ran without journaling a record of their
-        # own -- correct the throughput accounting for both.
-        executed = (len(campaign.results) + len(campaign.quarantined)
-                    - self._resumed - self._fanned + self._extra_runs)
-        campaign.timing = campaign_timing(
-            wall_clock=wall_clock,
-            experiments=len(campaign.results)
-            + len(campaign.quarantined),
-            executed=executed,
-            perf=self._perf.as_dict())
-        self.registry.counter("runtime.resumed",
-                              volatile=True).inc(self._resumed)
-        self.registry.counter("quarantined").inc(
-            len(campaign.quarantined))
-        self.registry.gauge("points").set(len(points))
-        self.registry.counter("runtime.watchdog_probes",
-                              volatile=True).inc(self.watchdog.probes)
-        dropped = getattr(self.tracer, "spans_dropped", 0)
-        if dropped:
-            self.registry.counter("trace.spans_dropped",
-                                  volatile=True).inc(dropped)
-        record_runtime_metrics(self.registry, wall_clock, executed,
-                               perf=self._perf.as_dict())
-        campaign.metrics = self.registry.as_dict()
+            # also on a checkpoint exit: run() saves the partial dump
+            self._finish(campaign, len(points), quarantined_records,
+                         time.monotonic() - started)
         if self.telemetry is not None:
             self.telemetry.emit("campaign-finished",
                                 campaign=self.telemetry_campaign,
@@ -875,8 +859,36 @@ class CampaignRunner:
         root_span.set("experiments", len(campaign.results))
         _LOGGER.debug("%s %s done: %d experiment(s) in %.1fs",
                       type(self.daemon).__name__, self.client_name,
-                      len(campaign.results), wall_clock)
+                      len(campaign.results), campaign.timing["wall_clock"])
         return campaign
+
+    def _finish(self, campaign, points, quarantined_records, wall_clock):
+        """Settle the runner's own counts, then derive the metrics
+        core and timing from *campaign* (:func:`finish_campaign`)."""
+        from .campaign import QuarantinedPoint
+        for record in quarantined_records.values():
+            campaign.quarantined.append(QuarantinedPoint(
+                point=self._point_from_record(record["point"]),
+                location=record["location"],
+                outcomes=tuple(record["outcomes"]),
+                rounds=record["rounds"]))
+        self._retire_session()
+        # fanned-out class members were journaled without running;
+        # audit re-executions ran without journaling a record of their
+        # own -- correct the throughput accounting for both.
+        executed = (len(campaign.results) + len(campaign.quarantined)
+                    - self._resumed - self._fanned + self._extra_runs)
+        registry = self.registry
+        registry.counter("runtime.executed", volatile=True).inc(executed)
+        registry.counter("runtime.resumed",
+                         volatile=True).inc(self._resumed)
+        registry.counter("runtime.watchdog_probes",
+                         volatile=True).inc(self.watchdog.probes)
+        dropped = getattr(self.tracer, "spans_dropped", 0)
+        if dropped:
+            registry.counter("trace.spans_dropped",
+                             volatile=True).inc(dropped)
+        finish_campaign(campaign, registry, points, wall_clock)
 
     # -- journal plumbing ----------------------------------------------
 
@@ -885,9 +897,11 @@ class CampaignRunner:
                 "client": self.client_name, "encoding": self.encoding,
                 "model": self.model.name, "budget": self.options.budget}
 
-    def _load_journal(self, campaign):
+    def _load_journal(self, points):
         """Returns ``(results_by_key, quarantine_by_key)`` from an
-        existing journal when resuming (else empty dicts)."""
+        existing journal when resuming (else empty dicts).  Quarantine
+        records of points outside *points* (a fleet worker's journal
+        holds every unit it ran) are not this campaign's."""
         options = self.options
         if not (options.resume and options.journal is not None):
             return {}, {}
@@ -898,7 +912,9 @@ class CampaignRunner:
             return {}, {}
         if meta is not None:
             validate_journal_meta(meta, self._meta(), options.journal)
-        return results, quarantined
+        keys = {_point_key(point) for point in points}
+        return results, {key: record for key, record in quarantined.items()
+                         if key in keys}
 
     @staticmethod
     def _point_from_record(record):
@@ -923,7 +939,6 @@ class CampaignRunner:
             if key in journaled:
                 resumed = result_from_dict(journaled[key])
                 campaign.results.append(resumed)
-                record_result_metrics(self.registry, resumed)
                 self._resumed += 1
                 self._report(campaign, quarantined_records, total)
                 continue
@@ -967,7 +982,6 @@ class CampaignRunner:
                                  quarantined_records, journal)
             else:
                 campaign.results.append(result)
-                record_result_metrics(self.registry, result)
                 if journal is not None:
                     journal.append_result(result)
             self._report(campaign, quarantined_records, total)
@@ -1042,7 +1056,6 @@ class CampaignRunner:
                 continue                      # quarantined
             resumed = self._result_from_record(record)
             campaign.results.append(resumed)
-            record_result_metrics(self.registry, resumed)
             self._resumed += 1
         self._report(campaign, quarantined_records, total)
 
@@ -1065,7 +1078,6 @@ class CampaignRunner:
             if record is not None:
                 resumed = self._result_from_record(record)
                 campaign.results.append(resumed)
-                record_result_metrics(self.registry, resumed)
                 self._resumed += 1
             else:
                 missing.append(point)
@@ -1186,7 +1198,6 @@ class CampaignRunner:
                                   volatile=True).inc()
         for result in emitted:
             campaign.results.append(result)
-            record_result_metrics(self.registry, result)
             if journal is not None:
                 journal.append_result(result)
         self._report(campaign, quarantined_records, total)
@@ -1268,12 +1279,13 @@ class CampaignRunner:
         return result
 
     def _retire_session(self):
-        """Release the live session, folding the share of its CPU perf
-        counters accumulated under this runner into the campaign
-        aggregate.  The session itself stays in the cache for reuse by
-        a later campaign (another fault model or encoding)."""
+        """Release the live session, adding the share of its CPU perf
+        counters accumulated under this runner to ``engine.*``.  The
+        session itself stays in the cache for reuse by a later
+        campaign (another fault model or encoding)."""
         if self._session is not None:
-            self._perf.absorb_dict(self._session.take_perf_delta())
+            count_engine_work(self.registry,
+                              self._session.take_perf_delta())
         self._session = None
         self._session_address = None
 
@@ -1402,7 +1414,8 @@ class CampaignRunner:
                 self.session_cache.mark_unreachable(key, session.arrival)
                 self.registry.counter("runtime.sessions_unreachable",
                                       volatile=True).inc()
-                self._perf.absorb_dict(session.take_perf_delta())
+                count_engine_work(self.registry,
+                                  session.take_perf_delta())
                 return None
             self.session_cache.store(key, session)
         # (Re)bind per-runner policy: a cached session may have been

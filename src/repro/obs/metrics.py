@@ -16,19 +16,24 @@ Three instrument kinds cover them all --
     fixed-bucket distribution (``crash_latency`` in power-of-two
     instruction buckets, mirroring Figure 4's axis).
 
-Registries merge exactly through :meth:`MetricsRegistry.absorb_dict`
--- the same pattern :meth:`repro.emu.perf.PerfCounters.absorb_dict`
-established for shard timing payloads -- so a parallel campaign's
-shard registries aggregate to precisely the serial registry.
-
-Every instrument is either *deterministic* (a pure function of the
-experiment list: identical for any worker count or resume history) or
-*volatile* (operational measurements -- wall clock, engine counters,
-session/golden-run counts -- that legitimately vary between runs: a
-parallel campaign performs one golden run per shard plus the
-parent's).  ``as_dict(include_volatile=False)`` is the comparable
-core; CI asserts it is identical for ``--workers 1`` and
-``--workers 3``.
+The deterministic core (``experiments``, ``outcome.*``,
+``activated``, ``quarantined``, ``crash_latency``, ``points``) is a
+function of the campaign's result:
+:func:`repro.injection.runner.finish_campaign` derives it from the
+finished (or checkpointed) record list, for the serial runner and the
+fleet merge alike, so it is identical for any worker count or resume
+history by construction.  Its one counted member, ``retry_requeues``,
+is summed over the runners that requeued.  Everything a run measures
+about itself is *volatile* and lives under ``"volatile"``: wall clock
+and throughput, ``runtime.*`` (golden runs, sessions, resumed and
+executed experiments), ``engine.*`` (the execution engine's
+counters), ``pruning.*`` and ``supervisor.*`` (the fleet's
+supervision events seen while the campaign was live).
+``CampaignResult.timing`` is a view of that section.  A fleet merge
+folds its units' volatile sections together with
+:meth:`MetricsRegistry.absorb_dict`.
+``as_dict(include_volatile=False)`` is the comparable core; CI
+asserts it is identical for ``--workers 1`` and ``--workers 3``.
 """
 
 from __future__ import annotations
@@ -90,8 +95,7 @@ class Histogram:
     ``bounds`` are inclusive upper bucket edges; one overflow bucket
     catches everything beyond the last edge, so ``counts`` has
     ``len(bounds) + 1`` entries and two histograms with equal bounds
-    merge by element-wise addition (exactness is what lets shard
-    registries aggregate to the serial registry).
+    merge by element-wise addition.
     """
 
     __slots__ = ("name", "bounds", "counts", "count", "total",
@@ -141,20 +145,6 @@ class Histogram:
         if record["max"] is not None:
             self.high = (record["max"] if self.high is None
                          else max(self.high, record["max"]))
-
-
-def record_supervision_metrics(registry, events):
-    """Fold a supervision run's event counts (respawns, wedge kills,
-    degraded transitions, checkpoints; see
-    :data:`repro.injection.fleet.EVENT_NAMES`) into *registry* as
-    ``supervisor.<event>`` counters.  Volatile by definition: they
-    measure the run's failure history, not the campaign spec -- a
-    chaos-recovered campaign and an undisturbed one still agree on the
-    deterministic core."""
-    for name in sorted(events or {}):
-        registry.counter("supervisor.%s" % name,
-                         volatile=True).inc(events[name])
-    return registry
 
 
 class MetricsRegistry:
@@ -225,9 +215,7 @@ class MetricsRegistry:
         Counters and histogram buckets add; gauges follow their merge
         policy (instruments absent from this registry are created with
         the serialized section's volatility and a ``last`` gauge
-        policy).  The merge is exact: absorbing every shard registry
-        of a parallel campaign reproduces the serial campaign's
-        deterministic section bit for bit.
+        policy).  The merge is exact: associative and commutative.
         """
         if not record:
             return self

@@ -220,6 +220,39 @@ class TestFleetSupervision:
         assert deterministic_core(campaign) \
             == deterministic_core(serial_campaign)
 
+    def test_supervision_counters_are_per_campaign(self, ftp_daemon,
+                                                   tmp_path,
+                                                   serial_campaign):
+        # worker 0 dies during the first campaign; the second campaign
+        # on the same fleet saw no failure and must report none
+        chaos = ChaosPolicy(actions=(
+            ChaosAction(kind="kill", shard=0, after=2),))
+        fleet = WorkerFleet(fast_config(), chaos=chaos)
+        campaigns = []
+        try:
+            for name in ("first", "second"):
+                cid = fleet.submit(
+                    ftp_daemon, "Client1", client1,
+                    RunOptions(max_points=SLICE,
+                               journal=tmp_path / ("%s.jsonl" % name)),
+                    min_units=2)
+                deadline = time.monotonic() + 120.0
+                while not fleet.finished(cid) \
+                        and time.monotonic() < deadline:
+                    fleet.pump()
+                assert fleet.finished(cid), "campaign %s stalled" % name
+                campaigns.append(fleet.finalize(cid))
+        finally:
+            fleet.stop()
+        first, second = campaigns
+        for campaign in campaigns:
+            assert_identical(campaign, serial_campaign)
+        assert counters(first)["supervisor.respawns"] == 1
+        assert counters(first)["supervisor.salvaged_points"] >= 1
+        assert counters(second)["supervisor.respawns"] == 0
+        assert counters(second)["supervisor.salvaged_points"] == 0
+        assert fleet.events["respawns"] == 1
+
     def test_backoff_delay_is_capped_exponential(self):
         config = fast_config()
         delays = [backoff_delay(config, n) for n in range(1, 6)]

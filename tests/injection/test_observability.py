@@ -9,7 +9,9 @@ import json
 import pytest
 
 from repro.apps.ftpd import client1
-from repro.injection import run_campaign
+from repro.injection import (CampaignInterrupted, CampaignRunner,
+                             run_campaign, RunOptions)
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import load_trace_file
 
 SLICE = 60
@@ -82,6 +84,47 @@ class TestMetrics:
         # the volatile section reflects the extra per-shard golden runs
         assert parallel["volatile"]["counters"]["runtime.golden_runs"] \
             > serial["volatile"]["counters"]["runtime.golden_runs"]
+
+
+    def test_checkpoint_exit_dumps_the_completed_prefix(
+            self, ftp_daemon, plain_campaign, tmp_path):
+        # a campaign checkpointed after N experiments dumps the core
+        # of exactly those N; with the core of the points it had left
+        # it adds up to the uninterrupted run's core
+        completed = 25
+        journal = tmp_path / "run.jsonl"
+        partial_path = tmp_path / "partial.json"
+        done = []
+        runner = CampaignRunner(
+            ftp_daemon, "Client1", client1,
+            RunOptions(max_points=SLICE, journal=journal,
+                       metrics=partial_path),
+            progress=lambda count, total: done.append(count),
+            stop_check=lambda: ("test-stop" if done
+                                and done[-1] >= completed else None))
+        with pytest.raises(CampaignInterrupted):
+            runner.run()
+        partial = json.loads(partial_path.read_text())
+        assert partial["counters"]["experiments"] == completed
+        assert partial["gauges"]["points"] == SLICE
+        resumed_path = tmp_path / "resumed.json"
+        run_campaign(ftp_daemon, "Client1", client1, max_points=SLICE,
+                     journal=journal, resume=True,
+                     metrics=str(resumed_path))
+        uninterrupted = _core(plain_campaign.metrics)
+        assert _core(json.loads(resumed_path.read_text())) \
+            == uninterrupted
+        rest = CampaignRunner(
+            ftp_daemon, "Client1", client1,
+            points=[result.point
+                    for result in plain_campaign.results[completed:]]
+        ).run()
+        total = MetricsRegistry()
+        total.absorb_dict(_core(partial))
+        total.absorb_dict(_core(rest.metrics))
+        summed = total.as_dict(include_volatile=False)
+        assert summed["counters"] == uninterrupted["counters"]
+        assert summed["histograms"] == uninterrupted["histograms"]
 
 
 class TestTrace:

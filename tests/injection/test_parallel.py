@@ -163,9 +163,10 @@ class TestWorkerFaults:
     def test_worker_error_heals_inline(self, ftp_daemon,
                                        serial_campaign):
         # every worker explodes during setup; the supervisor must not
-        # fail the campaign (satellite: one shard's error is no longer
-        # fatal to its siblings) -- with zero survivors it falls back
-        # to running the leftover points inline in the parent.
+        # fail the campaign.  A unit error is charged to the unit, not
+        # the worker: each unit is retried up to ``unit_attempts``
+        # times on respawned workers, then runs inline in the parent,
+        # and no worker is retired (the restart budget here is zero).
         def exploding_factory():
             raise RuntimeError("synthetic worker construction fault")
 
@@ -176,8 +177,10 @@ class TestWorkerFaults:
         assert campaign.counts(refined=True) \
             == serial_campaign.counts(refined=True)
         counters = campaign.metrics["volatile"]["counters"]
-        assert counters["supervisor.worker_errors"] == 2
-        assert counters["supervisor.failed_shards"] == 2
+        attempts = 2 * FAST_SUPERVISOR.unit_attempts
+        assert counters["supervisor.worker_errors"] == attempts
+        assert counters["supervisor.respawns"] == attempts
+        assert counters["supervisor.failed_shards"] == 0
         assert counters["supervisor.inline_points"] == SLICE
 
     def test_unhealable_error_raises_in_parent(self, ftp_daemon,

@@ -23,6 +23,7 @@ from repro.analysis import result_from_dict
 from repro.apps.ftpd import client1
 from repro.injection import (CampaignResult, FleetConfig,
                              run_campaign, run_fleet_campaign)
+from repro.injection.fleet import RETIRED
 from repro.service import (CampaignService, ServiceClient,
                            ServiceError)
 
@@ -281,7 +282,10 @@ class TestServiceAdmission:
     def test_failed_campaign_leaves_the_service_serving(
             self, tmp_path, serial_campaign):
         # a well-typed option no worker (nor the inline fallback) can
-        # use fails that campaign alone; the dispatcher used to crash
+        # use fails that campaign alone; the dispatcher used to crash.
+        # Its unit errors are the campaign's own fault: they must not
+        # retire the shared fleet's workers, or every later campaign
+        # would run inline in the dispatcher thread.
         harness = ServiceHarness(tmp_path / "failed.sock").start()
         try:
             with ServiceClient(harness.socket_path) as client:
@@ -291,9 +295,14 @@ class TestServiceAdmission:
                 events = list(client.events(accepted["campaign"]))
                 assert events[-1]["event"] == "error"
                 assert "could not self-heal" in events[-1]["detail"]
+                assert not any(
+                    slot.status == RETIRED
+                    for slot in harness.service.fleet.slots.values())
                 accepted = client.submit(SPEC, max_points=SLICE)
                 done, records = client.collect(accepted["campaign"])
             assert_identical(rebuild(done, records), serial_campaign)
+            volatile = done["metrics"]["volatile"]["counters"]
+            assert volatile["supervisor.inline_points"] == 0
             assert harness.service._dispatcher.is_alive()
         finally:
             harness.stop()

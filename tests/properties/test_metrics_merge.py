@@ -1,9 +1,9 @@
 """Merge algebra of the metrics registry (hypothesis).
 
-Parallel campaigns rely on shard registries folding into the parent
-exactly: ``absorb_dict`` must be associative and commutative over the
-deterministic core, and absorbing any partition of an observation
-stream must reproduce the serial registry.
+The fleet merge folds its work units' registries (their volatile
+sections and ``retry_requeues``) into the campaign's: ``absorb_dict``
+must be associative and commutative, and absorbing any partition of
+an observation stream must reproduce the unpartitioned registry.
 
 The quantification mirrors production: every registry in a family
 registers the *same* instrument schema (names and gauge policies --
