@@ -7,6 +7,7 @@ code (the crypt13 hash loop and a golden FTP connection).
 
 from __future__ import annotations
 
+import statistics
 import sys
 import time
 
@@ -30,16 +31,28 @@ int main() {
 """
 
 
-def best_interleaved(run_once, rounds=5):
-    """Best-of-*rounds* seconds for ``run_once(False)`` (plain) and
-    ``run_once(True)`` (observed), alternating plain and observed
-    rounds so host drift lands on both sides alike."""
+def interleaved_overhead(run_once, pairs=24):
+    """Per-run seconds of ``run_once(False)`` (plain) and
+    ``run_once(True)`` (observed), best of each, and the observed
+    run's relative overhead.
+
+    One run lasts only 75-130 ms, so a best-of-N of each variant
+    still moves by +-10 % with the load on a shared host.  Instead
+    every observed run is timed against a plain run right next to it
+    (the order flips from pair to pair) and the overhead is the
+    median over pairs of observed/plain minus one: host drift slower
+    than a pair cancels out of each ratio, and the median sheds the
+    pairs a scheduler hiccup hit."""
     run_once(False)                      # warm the prepared-op cache
-    plain, observed = [], []
-    for __ in range(rounds):
-        plain.append(run_once(False)[0])
-        observed.append(run_once(True)[0])
-    return min(plain), min(observed)
+    plain, observed, ratios = [], [], []
+    for pair in range(pairs):
+        sample = {}
+        for flag in ((False, True) if pair % 2 == 0 else (True, False)):
+            sample[flag] = run_once(flag)[0]
+        plain.append(sample[False])
+        observed.append(sample[True])
+        ratios.append(sample[True] / sample[False])
+    return min(plain), min(observed), statistics.median(ratios) - 1.0
 
 
 def python_opcodes(call):
@@ -128,9 +141,10 @@ def test_forensic_ring_overhead(record_result, record_json):
     under 5% on the fast path when attached, and exactly nothing when
     not (``run()`` branches to a separate loop, so the plain path is
     untouched -- asserted structurally by the campaign equivalence
-    tests; measured here for the attached case).  Wall clock is
-    best-of-5 with plain and ringed rounds alternated; the Python
-    opcode count over the same loop is the deterministic companion."""
+    tests; measured here for the attached case).  Wall clock is the
+    median ratio over alternated plain/ringed sample pairs
+    (:func:`interleaved_overhead`); the Python opcode count over the
+    same loop is the deterministic companion."""
     from repro.obs.forensics import make_forensic_ring
 
     program = compile_program(HASH_LOOP)
@@ -145,10 +159,9 @@ def test_forensic_ring_overhead(record_result, record_json):
         assert status.kind == "exit"
         return elapsed, status.instret
 
-    # best-of-N on both variants so scheduler noise cannot fake a
-    # regression (or hide one)
-    plain, ringed = best_interleaved(run_once)
-    overhead = (ringed - plain) / plain if plain else 0.0
+    # paired samples on both variants so host drift and scheduler
+    # noise cannot fake a regression (or hide one)
+    plain, ringed, overhead = interleaved_overhead(run_once)
     plain_ops, ring_ops, op_overhead = opcode_overhead(run_once)
     record_result("forensic_ring_overhead",
                   "plain: %.4f s  ring: %.4f s  overhead: %.1f%%\n"
@@ -176,8 +189,9 @@ def test_sampler_overhead(record_result, record_json):
     not.  Like the forensic ring, ``run()`` branches to the separate
     ``_run_observed`` loop, so the plain superstep loop never consults
     the sampler -- asserted structurally below, then measured for the
-    attached case: wall clock as best-of-5 with plain and sampled
-    rounds alternated, and deterministically as Python opcodes."""
+    attached case: wall clock as the median ratio over alternated
+    plain/sampled sample pairs, and deterministically as Python
+    opcodes."""
     import inspect
 
     from repro.emu.cpu import CPU
@@ -204,9 +218,8 @@ def test_sampler_overhead(record_result, record_json):
         assert status.kind == "exit"
         return elapsed, status.instret
 
-    plain, sampled = best_interleaved(run_once)
+    plain, sampled, overhead = interleaved_overhead(run_once)
     instret = run_once(True)[1]
-    overhead = (sampled - plain) / plain if plain else 0.0
     rate = instret / sampled if sampled else 0.0
     plain_ops, sampled_ops, op_overhead = opcode_overhead(run_once)
     record_result("sampler_overhead",

@@ -331,8 +331,7 @@ def _write_divergence(out, meta, record):
 def cmd_serve(args, out):
     from .injection.fleet import FleetConfig
     from .service import CampaignService
-    config = FleetConfig(workers=args.workers,
-                         session_capacity=args.session_capacity)
+    config = FleetConfig(workers=args.workers)
     if args.unit_instructions:
         config.unit_instructions = args.unit_instructions
     service = CampaignService(socket_path=args.socket, config=config,
@@ -696,10 +695,6 @@ def build_parser():
     serve.add_argument("--unit-instructions", type=int,
                        default=None, metavar="K",
                        help="whole instructions per work unit")
-    serve.add_argument("--session-capacity", type=int, default=64,
-                       metavar="N",
-                       help="per-worker breakpoint-session cache "
-                            "bound (LRU)")
     serve.set_defaults(handler=cmd_serve)
 
     status = commands.add_parser(

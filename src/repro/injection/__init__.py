@@ -12,8 +12,7 @@ from .faultmodels import (available_fault_models, BranchBitFlip,
                           RegisterBitFlip, RegisterInjectionPoint)
 from .golden import GoldenRun, record_golden
 from .injector import (BreakpointSession, plain_run,
-                       run_clean_connection, SessionCache,
-                       single_injection)
+                       run_clean_connection, single_injection)
 from .snapshot import MachineSnapshot
 from .runner import (campaign_timing, CampaignInterrupted,
                      CampaignJournal, CampaignRunner, JournalError,
@@ -58,7 +57,7 @@ __all__ = [
     "CampaignResult", "ENCODING_OLD", "ENCODING_NEW", "run_campaign",
     "run_both_encodings", "QuarantinedPoint", "GoldenRun",
     "record_golden", "BreakpointSession", "MachineSnapshot",
-    "SessionCache", "plain_run",
+    "plain_run",
     "single_injection", "run_clean_connection", "CampaignRunner",
     "CampaignJournal", "JournalError",
     "campaign_timing", "CampaignInterrupted", "JournalLoadReport",

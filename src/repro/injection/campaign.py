@@ -331,7 +331,7 @@ def run_campaign(daemon, client_name, client_factory,
                  encoding=ENCODING_OLD, fault_model=None, progress=None,
                  workers=None, daemon_factory=None, deadline=None,
                  graceful_signals=False, chaos=None, supervisor=None,
-                 session_cache=None, telemetry=None,
+                 sessions=None, telemetry=None,
                  telemetry_campaign=None, sampler=None, **options):
     """Run one full selective-exhaustive campaign.
 
@@ -353,9 +353,10 @@ def run_campaign(daemon, client_name, client_factory,
     ``graceful_signals=True`` (SIGTERM/SIGINT) checkpoint the campaign,
     raising :class:`~repro.injection.runner.CampaignInterrupted` with
     a resumable journal.  ``chaos`` injects harness faults from a
-    :class:`~repro.injection.chaos.ChaosPolicy`; ``session_cache``
-    shares breakpoint sessions across sequential serial campaigns
-    (e.g. a fault-model sweep over one daemon); ``progress(done,
+    :class:`~repro.injection.chaos.ChaosPolicy`; ``sessions`` is a
+    dict that shares each cell's breakpoint session (its prefix pass
+    and site snapshots) across sequential serial campaigns, e.g. both
+    encodings or a fault-model sweep over one daemon; ``progress(done,
     total)`` reports as experiments complete.  ``telemetry`` is an
     :class:`~repro.obs.events.EventBus` for typed campaign events
     (labelled ``telemetry_campaign``) and ``sampler`` attaches the
@@ -385,7 +386,7 @@ def run_campaign(daemon, client_name, client_factory,
             daemon, client_name, client_factory, options,
             encoding=encoding, fault_model=fault_model,
             progress=progress, stop_check=stop_check, chaos=chaos_agent,
-            session_cache=session_cache, telemetry=telemetry,
+            sessions=sessions, telemetry=telemetry,
             telemetry_campaign=telemetry_campaign,
             sampler=sampler).run()
 
@@ -414,9 +415,12 @@ def run_both_encodings(daemon, client_name, client_factory, **kwargs):
     """Convenience: the Table 1 and Table 5 campaigns for one client.
 
     A ``journal`` argument is split into ``<journal>.old`` and
-    ``<journal>.new`` so the two campaigns never share a file.
+    ``<journal>.new`` so the two campaigns never share a file.  The
+    site snapshots do not depend on the encoding, so both campaigns
+    share one breakpoint session: the new encoding runs no prefix pass.
     """
     journal = kwargs.pop("journal", None)
+    kwargs.setdefault("sessions", {})
     old = run_campaign(daemon, client_name, client_factory,
                        encoding=ENCODING_OLD,
                        journal=None if journal is None

@@ -7,11 +7,10 @@ fleet is the execution layer under the scheduling layer of
 :mod:`repro.injection.scheduler`:
 
 * a :class:`WorkerFleet` holds ``N`` long-lived worker processes that
-  can *outlive campaigns*: each worker keeps its rebuilt daemons,
-  golden runs and a bounded
-  :class:`~repro.injection.injector.SessionCache` warm per campaign
-  cell, so the service's second campaign for a cell skips the golden
-  run and the per-site snapshot captures entirely;
+  can *outlive campaigns*: each worker keeps its rebuilt daemon,
+  golden run and :class:`~repro.injection.injector.BreakpointSession`
+  warm per campaign cell, so the service's second campaign for a cell
+  skips the golden run and the prefix pass entirely;
 * workers pull :class:`~repro.injection.scheduler.WorkUnit`\\ s from a
   :class:`~repro.injection.scheduler.CampaignScheduler` whenever they
   go idle (work stealing by pull), interleaving units from several
@@ -64,13 +63,12 @@ from ..obs.metrics import MetricsRegistry
 from ..obs.sampler import as_sampler, host_phase, Sampler
 from ..obs.trace import merge_trace_files, Tracer
 from .faultmodels import get_fault_model
-from .injector import SessionCache
 from .parallel import (_record_key, default_daemon_factory,
                        discover_shard_journals, load_shard_journals,
                        shard_journal_path)
 from .runner import (_point_key, checkpoint_requests,
                      CampaignInterrupted, CampaignJournal, CampaignRunner,
-                     count_engine_work, finish_campaign,
+                     count_engine_work, finish_campaign, golden_cell,
                      install_stop_handlers, JournalError,
                      record_golden_traced, validate_journal_meta,
                      WatchdogConfig)
@@ -109,8 +107,6 @@ class FleetConfig:
     sibling).  ``unit_attempts`` bounds how often one unit may be
     taken from the queue (a failed dispatch, a migration) before the
     parent runs it inline.
-    ``session_capacity`` bounds each worker's warm
-    :class:`~repro.injection.injector.SessionCache` (LRU).
     ``heartbeat_timeout`` defaults to twice the watchdog's wall-clock
     limit plus slack, so a worker inside its slowest legal experiment
     is never declared wedged.  ``dead_grace`` delays the verdict on a
@@ -120,7 +116,6 @@ class FleetConfig:
 
     workers: int = 2
     unit_instructions: int = UNIT_INSTRUCTIONS
-    session_capacity: int = 64
     max_restarts: int = 2
     unit_attempts: int = 3
     backoff_base: float = 0.5
@@ -144,14 +139,6 @@ def join_process(process, timeout=5.0):
     if process.is_alive():
         process.kill()
         process.join(timeout)
-
-
-def golden_cell(daemon, client_name, budget):
-    """Key of the warm caches: the fleet's golden runs and a worker's
-    rebuilt daemons and golden runs.  The golden run is deterministic
-    per (daemon, client, budget), so campaigns of one cell share it
-    whatever their encoding, fault model or other options."""
-    return "%s:%s:%s" % (type(daemon).__name__, client_name, budget)
 
 
 def _unit_options(options, shard, **overrides):
@@ -201,10 +188,10 @@ def _fleet_worker_main(worker, incarnation, conn, config,
     ``(kind, worker, incarnation, ...)`` so the parent can discard a
     killed incarnation's leftovers as stale.
 
-    Warm state held across units *and campaigns*: one rebuilt daemon
-    and one golden run per campaign cell, plus a bounded shared
-    session cache -- the second campaign for a cell skips the golden
-    run and re-uses site snapshots.
+    Warm state held across units *and campaigns*: one rebuilt daemon,
+    one golden run and one breakpoint session per campaign cell -- the
+    second campaign for a cell skips the golden run, and a unit whose
+    sites the session already captured runs no prefix pass.
     """
     stop = {"reason": None}
 
@@ -221,7 +208,7 @@ def _fleet_worker_main(worker, incarnation, conn, config,
     contexts = dict(contexts or {})     # cid -> campaign context
     daemons = {}      # cell -> rebuilt daemon
     goldens = {}      # cell -> GoldenRun
-    sessions = SessionCache(capacity=config.session_capacity)
+    sessions = {}     # cell -> BreakpointSession
     agent = (chaos_policy.agent(worker, incarnation)
              if chaos_policy is not None else None)
     chaos = _IncarnationChaos(agent) if agent is not None else None
@@ -293,7 +280,7 @@ def _run_unit(emit, stop, ctx, unit, daemons, goldens, sessions,
         trace_root="shard",
         trace_attrs={"shard": worker, "unit": unit.unit_id},
         stop_check=lambda: stop["reason"], chaos=chaos,
-        session_cache=sessions, golden=goldens.get(cell),
+        sessions=sessions, golden=goldens.get(cell),
         sampler=sampler)
     campaign = runner.run()
     goldens[cell] = runner._golden
@@ -495,8 +482,6 @@ class WorkerFleet:
         if self._heartbeat_timeout is None:
             wall = WatchdogConfig().wall_clock_limit or 60.0
             self._heartbeat_timeout = 2.0 * wall + 30.0
-        self._inline_sessions = SessionCache(
-            capacity=self.config.session_capacity)
         self._inline_tid = self.config.workers + 1
 
     # -- lifecycle -----------------------------------------------------
@@ -1085,7 +1070,7 @@ class WorkerFleet:
             points=list(unit.points), tracer=tracer, trace_root="shard",
             trace_attrs={"shard": self._inline_tid,
                          "unit": unit.unit_id, "inline": True},
-            session_cache=self._inline_sessions, golden=state.golden,
+            golden=state.golden,
             # inline units run in the parent, feeding the campaign's
             # own sampler directly (no profile payload to fold).
             sampler=state.sampler)
@@ -1242,10 +1227,7 @@ def run_fleet_campaign(daemon, client_name, client_factory, workers=2,
     With ``fleet=None`` a private fleet of ``workers`` (or ``config``)
     runs the campaign and is stopped afterwards -- the path of
     ``run_campaign(workers=N)``.  A private fleet serves exactly one
-    campaign, so it spreads that campaign over every worker, and
-    without a ``config`` its workers keep one breakpoint session warm,
-    like the serial runner (campaigns visit sites in address order, so
-    a larger cache would hold only sessions never used again).
+    campaign, so it spreads that campaign over every worker.
     Passing an existing :class:`WorkerFleet` reuses its warm workers
     (and leaves it running).  ``deadline``/``graceful_signals``
     checkpoint the campaign through :meth:`WorkerFleet.drain`, raising
@@ -1266,7 +1248,7 @@ def run_fleet_campaign(daemon, client_name, client_factory, workers=2,
     owns = fleet is None
     if fleet is None:
         if config is None:
-            config = FleetConfig(workers=workers, session_capacity=1)
+            config = FleetConfig(workers=workers)
         fleet = WorkerFleet(config, chaos=chaos, telemetry=telemetry)
     try:
         with checkpoint_requests(deadline, graceful_signals) as stop_check:

@@ -4,27 +4,23 @@ For each experiment the injector loads the server, sets a breakpoint
 at the target instruction, lets a scripted client connect, and -- if
 the breakpoint fires -- flips one bit of the instruction and resumes.
 
-Because execution before the breakpoint is identical for every bit of
-a given instruction, the injector snapshots the whole machine (memory,
-CPU, kernel, client) at the breakpoint once and replays only the
-post-activation suffix for each of the instruction's bits.  Outcomes
-are exactly those of a naive per-bit rerun; campaigns just finish
-about an order of magnitude sooner.
-
-The snapshot is a :class:`~repro.injection.snapshot.MachineSnapshot`:
-restore writes back only pages the previous suffix dirtied and clones
-the kernel through the explicit ``clone()`` protocol instead of
-``copy.deepcopy``.  The prefix run depends only on the daemon image
-and the scripted client -- not on the fault model or instruction
-encoding -- so one session (and its snapshot) is reusable across every
-model and bit aimed at that instruction; :class:`SessionCache` keys
-sessions accordingly.
+Execution before the breakpoint is the same clean connection for
+every bit, fault model and encoding aimed at a site, and for every
+site of one cell (daemon image, client, budget).  A
+:class:`BreakpointSession` therefore runs that connection *once*,
+captures a :class:`~repro.injection.snapshot.MachineSnapshot`
+(memory, CPU, kernel, client) at each site's first arrival, and
+replays only the post-activation suffix of each experiment, in one
+long-lived :class:`~repro.emu.Process` whose decode caches stay warm
+across the whole table.  Outcomes are exactly those of a naive
+per-experiment rerun.
 """
 
 from __future__ import annotations
 
 from ..apps.common import CONNECTION_INSTRUCTION_BUDGET
 from ..emu import Process
+from ..emu.process import ExitStatus
 from ..kernel import ServerHang
 from ..obs.sampler import host_phase
 from .snapshot import MachineSnapshot
@@ -43,7 +39,20 @@ def plain_run(process, budget):
 
 
 class BreakpointSession:
-    """Server state captured at the first arrival at one instruction.
+    """Snapshots of one cell's clean connection at its injection sites.
+
+    *sites* is one instruction address or an iterable of them.
+    Construction runs one clean connection that stops at each site's
+    first arrival to capture it (a *pass*); :meth:`ensure` adds sites
+    later with one more pass from the entry snapshot.  A site the pass
+    never reached has no capture.
+
+    :meth:`select` makes a site current and restores its state into
+    the session's single :class:`~repro.emu.Process` before returning.
+    ``run_with_*``, ``snapshot``, ``reached``, ``activation_instret``
+    and ``arrival`` refer to the current site; ``restore_stats``
+    counts over the session's life.  A one-site session is current at
+    its site from construction on.
 
     ``run_fn(process, budget)`` executes the post-activation suffix;
     the default simply runs to completion, the fault-tolerant runner
@@ -54,19 +63,17 @@ class BreakpointSession:
     the two paths for byte-identical outcomes.
     """
 
-    def __init__(self, daemon, client_factory, breakpoint_address,
+    def __init__(self, daemon, client_factory, sites,
                  budget=CONNECTION_INSTRUCTION_BUDGET, run_fn=None,
                  full_restore=False):
         self.daemon = daemon
         self.budget = budget
         self.run_fn = run_fn if run_fn is not None else plain_run
-        self.breakpoint_address = breakpoint_address
         self.full_restore = full_restore
-        client = client_factory()
-        kernel = daemon.make_kernel(client)
+        kernel = daemon.make_kernel(client_factory())
         self.process = Process(daemon.module, kernel)
-        #: text addresses poked since the snapshot; the only ones whose
-        #: cached decodes can be stale once the snapshot is restored.
+        #: text addresses poked since the last restore; the only ones
+        #: whose cached decodes can be stale once it is undone.
         self._dirty = set()
         #: perf-counter values already credited to a runner; lets a
         #: session be reused across runners without double counting.
@@ -79,104 +86,169 @@ class BreakpointSession:
         #: restore path's host wall clock (rebound per runner, like
         #: ``run_fn``); ``None`` keeps restores instrumentation-free.
         self.sampler = None
-        self.arrival = self.process.run_until(breakpoint_address, budget)
-        self.reached = self.arrival.kind == "breakpoint"
-        if self.reached:
-            self.activation_instret = self.process.cpu.instret
-            self.snapshot = MachineSnapshot.capture(self.process, kernel)
-            # The pristine kernel lives inside the snapshot; the live
-            # process runs against a clone so no experiment can corrupt
-            # the state every later restore is built from.
-            self._install_kernel(self.snapshot.make_kernel())
-            self._pristine = True
-            # From here on, log cache inserts so each restore can
-            # evict exactly the decodes built from modified text.
-            self.process.cpu.decode_log = []
+        #: site address -> snapshot at its first arrival
+        self.captures = {}
+        #: every address a pass looked for, reached or not
+        self.probed = set()
+        #: prefix passes run so far (construction included), and the
+        #: guest instructions they retired
+        self.passes = 0
+        self.prefix_instructions = 0
+        #: how a pass that missed a site ended: the arrival status of
+        #: every unreached site (the clean connection's own end).
+        self._missed = None
+        #: the state every pass starts from
+        self.entry = MachineSnapshot.capture(self.process, kernel.clone())
+        #: the snapshot the live memory and kernel equalled at the
+        #: last capture or restore (``None``: unknown, after a harness
+        #: fault), and whether nothing has run since.
+        self._base = self.entry
+        self._pristine = True
+        self.breakpoint_address = self.snapshot = self.arrival = None
+        self.activation_instret = None
+        self.reached = False
+        sites = [sites] if isinstance(sites, int) else list(sites)
+        current = self.ensure(sites)
+        if current is None and len(sites) == 1:
+            current = sites[0]
+        if current is not None:
+            self.select(current)
+        else:
+            self.arrival = self._missed
 
-    def _install_kernel(self, kernel):
-        self.process.cpu.kernel = kernel
-        self.process.kernel = kernel
-        return kernel
+    # -- the site table ------------------------------------------------
+
+    def ensure(self, sites):
+        """Capture every address of *sites* not probed yet, with one
+        pass from the entry snapshot, and leave no site current.
+        Returns the site the pass stopped on when it reached all of
+        them (the live machine is then exactly at that site), else
+        ``None``."""
+        wanted = set(sites) - self.probed
+        if not wanted:
+            return None
+        requested = frozenset(wanted)
+        self.passes += 1
+        process = self.process
+        cpu = process.cpu
+        if self._base is not self.entry or not self._pristine:
+            self._goto(self.entry)
+        self.breakpoint_address = self.snapshot = self.arrival = None
+        self.activation_instret = None
+        self.reached = self._pristine = False
+        # The pass runs clean text, so nothing it decodes can go
+        # stale: no insert log, and no observer a runner left bound.
+        observers = cpu.forensic_ring, cpu.sampler
+        cpu.decode_log = cpu.forensic_ring = cpu.sampler = None
+        base = self.entry
+        try:
+            while wanted:
+                status = process.run_watched(wanted, self.budget)
+                if status.kind != "watched":
+                    self._missed = status
+                    break
+                base = MachineSnapshot.capture(
+                    process, process.kernel.clone(), base)
+                self.captures[cpu.eip] = base
+                wanted.discard(cpu.eip)
+        finally:
+            self._base = base
+            self.prefix_instructions += cpu.instret
+            cpu.decode_log = []
+            cpu.forensic_ring, cpu.sampler = observers
+        self.probed |= requested
+        if wanted:
+            return None
+        self._pristine = True
+        return cpu.eip
+
+    def select(self, address):
+        """Make *address* the current site (probing it first if no
+        pass has) and restore its state into the live process.
+        Returns the session, or ``None`` when the clean connection
+        never reaches the site."""
+        if address not in self.probed:
+            self.ensure((address,))
+        snapshot = self.captures.get(address)
+        self.breakpoint_address = address
+        self.reached = snapshot is not None
+        if snapshot is None:
+            self.snapshot = self.activation_instret = None
+            self.arrival = self._missed
+            return None
+        self.snapshot = snapshot
+        if not (self._pristine and self._base is snapshot):
+            self._restore_impl()
+            self._pristine = True
+        self.activation_instret = snapshot.instret
+        self.arrival = ExitStatus(kind="breakpoint",
+                                  instret=snapshot.instret)
+        return self
+
+    def discard_state(self):
+        """Forget what the live machine holds (after a harness fault
+        escaped mid-experiment): the next restore rewrites every page,
+        rewinds the kernel and re-decodes from scratch."""
+        self._base = None
+        self._pristine = False
+        self.process.cpu.invalidate_cache()
+
+    # -- restore -------------------------------------------------------
 
     def _restore(self):
-        """Reset memory/CPU to the breakpoint and clone kernel+client.
+        """Return the machine to the current site before an experiment.
 
-        When the machine has not run since the snapshot was captured
-        (or since the last restore) nothing is dirty and the already
-        installed kernel clone has never been touched, so the whole
-        restore is skipped -- the common case for NA fast exits.
+        When nothing has run since the last capture or restore the
+        whole restore is skipped -- the common case for the first
+        experiment after :meth:`select` and for NA fast exits.
         """
-        with host_phase(self.sampler, "restore"):
-            return self._restore_impl()
-
-    def _restore_impl(self):
+        if not self.reached:
+            raise RuntimeError("no reached breakpoint is current (site %r)"
+                               % self.breakpoint_address)
         if self._pristine:
             self._pristine = False
             self.restore_stats["pristine_skips"] += 1
             return self.process.kernel
-        snapshot = self.snapshot
-        self.restore_stats["restores"] += 1
-        self.restore_stats["pages_written"] += snapshot.restore_memory(
-            self.process.memory, full=self.full_restore)
+        return self._restore_impl()
+
+    def _restore_impl(self):
+        with host_phase(self.sampler, "restore"):
+            return self._goto(self.snapshot)
+
+    def _goto(self, target):
+        """Write *target* into the live process: the dirty pages (plus,
+        on a switch, the pages whose blobs differ), the CPU, the kernel
+        and client, and the decode caches."""
+        stats = self.restore_stats
+        stats["restores"] += 1
+        base = self._base
+        stats["pages_written"] += target.restore_memory(
+            self.process.memory, full=self.full_restore or base is None,
+            base=base)
         cpu = self.process.cpu
-        snapshot.restore_cpu(cpu)
-        # Text is back to the snapshot image, from which the prefix run
-        # (and every clean suffix decode) was cached -- only decodes
-        # built while bytes poked this experiment were in place can be
-        # stale, so evict those and keep the rest of the cache warm.
+        target.restore_cpu(cpu)
+        # Text is back to the clean image, from which every pass (and
+        # every clean suffix decode) was cached -- only decodes built
+        # while poked bytes were in place can be stale, so evict those
+        # and keep the rest of the cache warm.
         cpu.evict_suspect_decodes(self._dirty)
         self._dirty.clear()
+        self._base = target
         # Every kernel/client mutation is syscall-gated (the client
-        # only acts inside server_read/server_write), so an unchanged
-        # syscall count proves the installed clone is still pristine
-        # and can serve the next experiment as-is -- the common case
-        # for faults that crash before reaching a system call.
-        # Otherwise the installed clone is rewound in place to the
-        # pristine snapshot state, which is why the kernel returned by
+        # only acts inside server_read/server_write), so when the live
+        # kernel was last left at *target*'s own state an unchanged
+        # syscall count proves it still is -- the common case for
+        # faults that crash before reaching a system call.  Otherwise
+        # it is rewound in place, which is why the kernel returned by
         # the previous run_with_* call is only guaranteed stable until
         # the next one.
-        installed = self.process.kernel
-        if installed.syscall_count == snapshot.kernel.syscall_count:
-            self.restore_stats["kernel_reuses"] += 1
-            return installed
-        self.restore_stats["kernel_rewinds"] += 1
-        return installed.rewind_to(snapshot.kernel)
-
-    def fork(self):
-        """Cheap sibling session at the same breakpoint.
-
-        The sibling shares the immutable :class:`MachineSnapshot`
-        (region blobs + pristine kernel) but gets its own memory, CPU
-        and kernel clone, so experiments in one session can never leak
-        into another.  Used by the fork-independence property tests and
-        as the substrate for warm-worker reuse.
-        """
-        if not self.reached:
-            raise RuntimeError("cannot fork: breakpoint at 0x%x was "
-                               "never reached" % self.breakpoint_address)
-        sibling = BreakpointSession.__new__(BreakpointSession)
-        sibling.daemon = self.daemon
-        sibling.budget = self.budget
-        sibling.run_fn = self.run_fn
-        sibling.breakpoint_address = self.breakpoint_address
-        sibling.full_restore = self.full_restore
-        sibling.snapshot = self.snapshot
-        sibling.arrival = self.arrival
-        sibling.reached = True
-        sibling.activation_instret = self.activation_instret
-        sibling._dirty = set()
-        sibling._perf_taken = {}
-        sibling.sampler = None
-        sibling.restore_stats = {"restores": 0, "pristine_skips": 0,
-                                 "pages_written": 0, "kernel_reuses": 0,
-                                 "kernel_rewinds": 0}
-        kernel = self.snapshot.make_kernel()
-        sibling.process = Process(self.daemon.module, kernel,
-                                  memory=self.snapshot.materialize_memory())
-        self.snapshot.restore_cpu(sibling.process.cpu)
-        sibling.process.cpu.decode_log = []
-        sibling._pristine = True
-        return sibling
+        kernel = self.process.kernel
+        if (target is base
+                and kernel.syscall_count == target.kernel.syscall_count):
+            stats["kernel_reuses"] += 1
+            return kernel
+        stats["kernel_rewinds"] += 1
+        return kernel.rewind_to(target.kernel)
 
     def take_perf_delta(self):
         """Perf counters accumulated since the last call -- the share
@@ -193,9 +265,6 @@ class BreakpointSession:
         Returns ``(status, kernel, client)`` where ``status.kind`` is
         ``exit``/``crash``/``limit``/``hang``.
         """
-        if not self.reached:
-            raise RuntimeError("breakpoint at 0x%x was never reached"
-                               % self.breakpoint_address)
         kernel = self._restore()
         self.process.flip_bit(flip_address, bit)
         self._dirty.add(flip_address)
@@ -209,9 +278,6 @@ class BreakpointSession:
 
         ``register`` is the hardware register index (EAX=0 ... EDI=7).
         """
-        if not self.reached:
-            raise RuntimeError("breakpoint at 0x%x was never reached"
-                               % self.breakpoint_address)
         kernel = self._restore()
         cpu = self.process.cpu
         cpu.regs[register] ^= (1 << bit)
@@ -226,9 +292,6 @@ class BreakpointSession:
         coherent), though the text-fault models use
         :meth:`run_with_flip`/:meth:`run_with_bytes` directly.
         """
-        if not self.reached:
-            raise RuntimeError("breakpoint at 0x%x was never reached"
-                               % self.breakpoint_address)
         kernel = self._restore()
         return self._memory_flip(address, bit, kernel)
 
@@ -236,9 +299,6 @@ class BreakpointSession:
         """Flip one bit of the byte at ``ESP + offset`` as of the
         breakpoint (the live frame: saved state, locals, argument
         words) and resume."""
-        if not self.reached:
-            raise RuntimeError("breakpoint at 0x%x was never reached"
-                               % self.breakpoint_address)
         kernel = self._restore()
         address = (self.process.cpu.regs[4] + offset) & 0xFFFFFFFF
         return self._memory_flip(address, bit, kernel)
@@ -261,9 +321,6 @@ class BreakpointSession:
         instruction, which can differ from it in more than one bit of
         the *old* encoding.
         """
-        if not self.reached:
-            raise RuntimeError("breakpoint at 0x%x was never reached"
-                               % self.breakpoint_address)
         kernel = self._restore()
         for offset, value in enumerate(replacement):
             self.process.memory.poke(address + offset, value)
@@ -274,76 +331,6 @@ class BreakpointSession:
     def _finish(self, kernel):
         status = self.run_fn(self.process, self.budget)
         return status, kernel, kernel.channel.client
-
-
-class SessionCache:
-    """Reusable :class:`BreakpointSession` store.
-
-    Keyed by (daemon image, client script, budget, site): the prefix
-    run and the snapshot do not depend on the fault model or the
-    instruction encoding, so one cached session serves every model and
-    bit targeting that instruction.  Unreachable sites are remembered
-    so each is probed at most once.
-
-    ``capacity`` bounds resident sessions (LRU eviction); campaigns
-    visit points in address order, so the serial runner uses capacity 1
-    while cross-model sweeps share an unbounded cache.  Not safe for
-    concurrent use from several threads; parallel campaigns give each
-    worker process its own cache.
-    """
-
-    def __init__(self, capacity=None):
-        self.capacity = capacity
-        self._sessions = {}  # key -> session, insertion order = LRU
-        self._unreachable = {}  # key -> arrival ExitStatus
-        self.hits = 0
-        self.misses = 0
-        #: sessions dropped by the LRU bound.  A long-lived warm
-        #: worker serving many daemon x model x encoding cells watches
-        #: this to prove the cache is bounded (an evicted site simply
-        #: re-captures on next use, at the usual prefix-run cost).
-        self.evictions = 0
-
-    @staticmethod
-    def key(daemon, client_name, budget, address):
-        return (id(daemon), client_name, budget, address)
-
-    def lookup(self, key):
-        session = self._sessions.get(key)
-        if session is not None:
-            self.hits += 1
-            # refresh LRU position
-            del self._sessions[key]
-            self._sessions[key] = session
-        return session
-
-    def unreachable_arrival(self, key):
-        return self._unreachable.get(key)
-
-    def mark_unreachable(self, key, arrival):
-        self._unreachable[key] = arrival
-
-    def store(self, key, session):
-        self.misses += 1
-        self._sessions[key] = session
-        if self.capacity is not None:
-            while len(self._sessions) > self.capacity:
-                oldest = next(iter(self._sessions))
-                del self._sessions[oldest]
-                self.evictions += 1
-
-    def discard(self, key):
-        """Drop a session whose machine state may be corrupted (e.g.
-        after a harness fault)."""
-        self._sessions.pop(key, None)
-
-    def __len__(self):
-        return len(self._sessions)
-
-    def stats(self):
-        """Operational counters, in metrics-registry key style."""
-        return {"sessions": len(self._sessions), "hits": self.hits,
-                "misses": self.misses, "evictions": self.evictions}
 
 
 def single_injection(daemon, client_factory, instruction_address,

@@ -51,7 +51,7 @@ from ..obs.sampler import as_sampler, host_phase, Sampler
 from ..obs.trace import as_tracer, NULL_TRACER
 from .faultmodels import get_fault_model
 from .golden import record_golden
-from .injector import BreakpointSession, SessionCache
+from .injector import BreakpointSession
 from .outcomes import (classify_completed_run, FAIL_SILENCE_VIOLATION,
                        HANG, HARNESS_FAULT, InjectionResult,
                        NOT_ACTIVATED, SECURITY_BREAKIN)
@@ -344,6 +344,15 @@ def count_engine_work(registry, perf):
     session's delta) to the volatile ``engine.*`` counters."""
     for name, value in perf.items():
         registry.counter("engine." + name, volatile=True).inc(value)
+
+
+def golden_cell(daemon, client_name, budget):
+    """Key of the per-cell warm state: golden runs, breakpoint
+    sessions and a fleet worker's rebuilt daemons.  The golden run and
+    the prefix pass are deterministic per (daemon, client, budget), so
+    campaigns of one cell share them whatever their encoding, fault
+    model or other options."""
+    return "%s:%s:%s" % (type(daemon).__name__, client_name, budget)
 
 
 def finish_campaign(campaign, registry, points, wall_clock, workers=1,
@@ -684,7 +693,7 @@ class CampaignRunner:
                  encoding=None, fault_model=None, progress=None,
                  points=None, tracer=None, trace_root="campaign",
                  trace_attrs=None, stop_check=None, chaos=None,
-                 session_cache=None, golden=None, telemetry=None,
+                 sessions=None, golden=None, telemetry=None,
                  telemetry_campaign=None, sampler=None):
         from .campaign import ENCODING_OLD, RunOptions
         self.daemon = daemon
@@ -714,13 +723,15 @@ class CampaignRunner:
         #: chaos hooks (:mod:`repro.injection.chaos`).
         self.chaos = chaos
         self.registry = MetricsRegistry()
-        # Session cache: points arrive in address order, so a private
-        # cache keeps one live session (plus the unreachable set, so a
-        # disagreeing address is probed once, not once per bit).  A
-        # caller-supplied cache is shared across campaigns -- e.g. a
-        # fault-model sweep reusing one site snapshot per model.
-        self.session_cache = (session_cache if session_cache is not None
-                              else SessionCache(capacity=1))
+        #: breakpoint sessions by :func:`golden_cell`.  The prefix
+        #: pass depends only on the cell, so a caller-supplied dict
+        #: shares one session (and its site table) across campaigns:
+        #: both encodings, a fault-model sweep, a fleet worker's units.
+        self.sessions = sessions if sessions is not None else {}
+        self._cell = golden_cell(daemon, client_name, self.options.budget)
+        #: covered sites of the points this campaign executes -- what
+        #: the cell session's prefix pass captures (set per run).
+        self._sites = frozenset()
         self._session = None
         self._session_address = None
         #: pre-recorded golden run for this (daemon, client, budget)
@@ -872,7 +883,9 @@ class CampaignRunner:
                 location=record["location"],
                 outcomes=tuple(record["outcomes"]),
                 rounds=record["rounds"]))
-        self._retire_session()
+        if self._session is not None:
+            count_engine_work(self.registry,
+                              self._session.take_perf_delta())
         # fanned-out class members were journaled without running;
         # audit re-executions ran without journaling a record of their
         # own -- correct the throughput accounting for both.
@@ -925,6 +938,12 @@ class CampaignRunner:
 
     def _run_points(self, campaign, points, journaled,
                     quarantined_records, journal):
+        coverage = self._golden.coverage
+        self._sites = frozenset(
+            point.instruction_address for point in points
+            if point.instruction_address in coverage
+            and _point_key(point) not in journaled
+            and _point_key(point) not in quarantined_records)
         if self.options.prune:
             return self._run_points_pruned(campaign, points, journaled,
                                            quarantined_records, journal)
@@ -1278,23 +1297,12 @@ class CampaignRunner:
                 return None
         return result
 
-    def _retire_session(self):
-        """Release the live session, adding the share of its CPU perf
-        counters accumulated under this runner to ``engine.*``.  The
-        session itself stays in the cache for reuse by a later
-        campaign (another fault model or encoding)."""
-        if self._session is not None:
-            count_engine_work(self.registry,
-                              self._session.take_perf_delta())
-        self._session = None
-        self._session_address = None
-
     def _harness_fault(self, pending):
-        """Convert an escaped exception into a HARNESS_FAULT record;
-        the cached session may be corrupted, so drop it from the cache
-        too (its counters are plain integers and stay trustworthy, so
-        they are kept).  Forensic state is snapshotted *before* the
-        session goes."""
+        """Convert an escaped exception into a HARNESS_FAULT record.
+        The live machine may be corrupted, so the session forgets it
+        (its snapshots are immutable and stay trustworthy) and the
+        next experiment selects its site afresh.  Forensic state is
+        snapshotted first."""
         forensics = None
         if self._session is not None:
             if self.options.forensics:
@@ -1303,10 +1311,8 @@ class CampaignRunner:
                         self._session.process.cpu)
                 except Exception:
                     forensics = None          # never mask the fault
-            self.session_cache.discard(SessionCache.key(
-                self.daemon, self.client_name, self.options.budget,
-                self._session_address))
-        self._retire_session()
+            self._session.discard_state()
+        self._session_address = None
         detail = traceback.format_exc(limit=8).strip()
         return InjectionResult(point=pending.point,
                                location=pending.location,
@@ -1383,49 +1389,44 @@ class CampaignRunner:
             forensics=forensics)
 
     def _session_for(self, address):
-        """Breakpoint session for *address*, cached across the bits of
-        one instruction (and, through a shared :class:`SessionCache`,
-        across fault models and encodings); ``None`` when the
-        breakpoint is unreachable (cached too, so the disagreement is
-        probed only once)."""
+        """The cell session with *address* current and restored, or
+        ``None`` when the clean connection never reaches it.  The first
+        call builds the session with one prefix pass over every site in
+        ``_sites`` (or grows a shared one to cover them)."""
         if self._session_address == address:
-            return self._session
-        key = SessionCache.key(self.daemon, self.client_name,
-                               self.options.budget, address)
-        if self.session_cache.unreachable_arrival(key) is not None:
-            return None
-        self._retire_session()
-        session = self.session_cache.lookup(key)
-        if session is not None:
-            self.registry.counter("runtime.sessions_reused",
-                                  volatile=True).inc()
-        else:
-            with host_phase(self.sampler, "client-session"), \
-                    self.tracer.span("client-session", cat="experiment",
-                                     address="0x%x" % address) as span:
+            return self._session if self._session.reached else None
+        session = self._session
+        if session is None:
+            session = self.sessions.get(self._cell)
+            if session is not None and session.daemon is not self.daemon:
+                session = None
+        passes = session.passes if session is not None else 0
+        with host_phase(self.sampler, "client-session"), \
+                self.tracer.span("client-session", cat="experiment",
+                                 address="0x%x" % address) as span:
+            if session is None:
                 session = BreakpointSession(self.daemon,
                                             self.client_factory,
-                                            address, self.options.budget,
-                                            run_fn=self.watchdog)
-                span.set("reached", session.reached)
-            self.registry.counter("runtime.sessions",
-                                  volatile=True).inc()
-            if not session.reached:
-                self.session_cache.mark_unreachable(key, session.arrival)
-                self.registry.counter("runtime.sessions_unreachable",
-                                      volatile=True).inc()
-                count_engine_work(self.registry,
-                                  session.take_perf_delta())
-                return None
-            self.session_cache.store(key, session)
-        # (Re)bind per-runner policy: a cached session may have been
-        # created by a campaign with different settings.
-        session.run_fn = self.watchdog
-        session.full_restore = self.options.full_restore
-        session.process.cpu.forensic_ring = (
-            make_forensic_ring() if self.options.forensics else None)
-        session.process.cpu.sampler = self.sampler
-        session.sampler = self.sampler
-        self._session = session
+                                            self._sites | {address},
+                                            self.options.budget)
+            if self._session is None:
+                # first use under this runner: bind its policy
+                self._session = self.sessions[self._cell] = session
+                session.run_fn = self.watchdog
+                session.full_restore = self.options.full_restore
+                session.process.cpu.forensic_ring = (
+                    make_forensic_ring() if self.options.forensics
+                    else None)
+                session.process.cpu.sampler = self.sampler
+                session.sampler = self.sampler
+            if address not in session.probed:
+                session.ensure(self._sites | {address})
+            selected = session.select(address)
+            span.set("reached", selected is not None)
         self._session_address = address
-        return session
+        self.registry.counter("runtime.sessions", volatile=True).inc(
+            session.passes - passes)
+        if selected is not None:
+            self.registry.counter("runtime.sessions_reused",
+                                  volatile=True).inc()
+        return selected

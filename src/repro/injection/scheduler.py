@@ -8,9 +8,11 @@ scheduling layer instead:
 
 * the enumerated experiment list is cut into :class:`WorkUnit`\\ s of a
   few *whole instructions* each (all bits of one instruction stay
-  together, preserving the per-site ``BreakpointSession`` amortisation
-  -- and, because equivalence classes are a property of one site's
-  points, every pruning class lands intact inside exactly one unit);
+  together, so a unit visits each of its sites once: one restore into
+  the worker's per-cell ``BreakpointSession`` per site, and at most
+  one prefix pass per unit to capture sites the session lacks -- and,
+  because equivalence classes are a property of one site's points,
+  every pruning class lands intact inside exactly one unit);
 * units sit on a single pull queue; workers *take* the next unit when
   they go idle, which is work stealing in its simplest form -- a fast
   worker simply takes more units, and no unit is ever owned before a

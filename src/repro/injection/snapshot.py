@@ -1,29 +1,32 @@
-"""Forkable machine snapshots: immutable image, mutable delta.
+"""Machine snapshots: immutable page tables, mutable delta.
 
 A campaign replays the post-activation suffix of one connection
-thousands of times from the same instruction.  The state at that
-instruction splits into an *immutable* part -- the program image and
-the kernel/client state as of the breakpoint, captured once -- and a
+thousands of times from each injection site.  The state at a site
+splits into an *immutable* part -- the memory image and the
+kernel/client state as of the breakpoint, captured once -- and a
 *mutable* part: whatever the suffix run touched.  The suffix of an
 authentication exchange dirties a handful of stack and data pages out
 of a couple-hundred-KiB address space, so restoring by writing back
 only pages dirtied since the capture (tracked by
 :mod:`repro.emu.memory` at :data:`PAGE_SIZE` granularity) is an
 order of magnitude cheaper than rewriting every region, and the
-kernel ``clone()`` protocol replaces the old per-experiment
+kernel ``clone()`` protocol replaces a per-experiment
 ``copy.deepcopy``.
 
-The snapshot itself is never mutated after capture: region contents
-are ``bytes``, CPU state is tuples, and the kernel held inside is the
-pristine breakpoint-time kernel from which every experiment receives a
-fresh ``clone()``.  That makes one snapshot safely shareable between
-sibling sessions (:meth:`BreakpointSession.fork`) and across fault
-models targeting the same instruction.
+Memory is one tuple of page blobs per region.  Snapshots captured
+along one clean run share page blobs *by identity*: a capture copies
+only the pages dirtied since the capture before it, so a table of 32
+sites holds a few pages per site, not 32 full images, and a site
+switch writes back just the pages whose blobs differ.
+
+A snapshot is never mutated after capture: pages are ``bytes``, CPU
+state is tuples, and the kernel inside is the pristine kernel every
+restore rewinds the live one to, so one snapshot serves every fault
+model and encoding aimed at its site.
 """
 
 from __future__ import annotations
 
-from ..emu import Memory
 from ..emu.memory import PAGE_SHIFT, PAGE_SIZE
 
 
@@ -34,25 +37,23 @@ class MachineSnapshot:
     snapshot into a live process.
     """
 
-    __slots__ = ("region_blobs", "region_views", "region_layout", "regs",
-                 "eip", "eflags", "segments", "instret", "kernel")
+    __slots__ = ("pages", "regs", "eip", "eflags", "segments", "instret",
+                 "kernel")
 
     @classmethod
-    def capture(cls, process, kernel):
+    def capture(cls, process, kernel, base=None):
         """Freeze *process* + *kernel* and reset dirty tracking so the
-        restore delta is measured from this point."""
+        restore delta is measured from this point.
+
+        With *base* -- a snapshot the live memory equals except for
+        its dirty pages -- only those pages are copied; every other
+        page blob is *base*'s own object.
+        """
         snapshot = cls()
         memory = process.memory
-        snapshot.region_blobs = [bytes(region.data)
-                                 for region in memory.regions]
-        # Prebuilt views: page-sized slices of a memoryview are
-        # copy-free, and building the view once here keeps it off the
-        # per-experiment restore path.
-        snapshot.region_views = [memoryview(blob)
-                                 for blob in snapshot.region_blobs]
-        snapshot.region_layout = [(region.name, region.start,
-                                   region.writable)
-                                  for region in memory.regions]
+        snapshot.pages = [
+            _copy_pages(region, None if base is None else base.pages[index])
+            for index, region in enumerate(memory.regions)]
         cpu = process.cpu
         snapshot.regs = tuple(cpu.regs)
         snapshot.eip = cpu.eip
@@ -65,25 +66,35 @@ class MachineSnapshot:
 
     # -- restore -------------------------------------------------------
 
-    def restore_memory(self, memory, full=False):
-        """Rewrite pages dirtied since capture (or everything when
-        *full*); returns the number of pages written back."""
+    def restore_memory(self, memory, full=False, base=None):
+        """Rewrite the pages dirtied since the last capture or restore
+        and returns how many pages were written back.
+
+        *base* is the snapshot the live memory equalled at that point
+        (default: this one).  On a switch from another snapshot of the
+        same table, every page whose blob differs between the two is
+        written too.  *full* rewrites everything.
+        """
+        base = self if base is None else base
         pages = 0
-        if full:
-            for region, blob in zip(memory.regions, self.region_blobs):
-                region.data[:] = blob
-                pages += region.page_count()
-                region.dirty.clear()
-            return pages
-        for region, view in zip(memory.regions, self.region_views):
+        for region, mine, theirs in zip(memory.regions, self.pages,
+                                        base.pages):
             dirty = region.dirty
-            if not dirty:
-                continue
+            if full:
+                write = range(len(mine))
+            elif mine is theirs:
+                if not dirty:
+                    continue
+                write = dirty
+            else:
+                write = dirty.union(
+                    page for page, blob in enumerate(mine)
+                    if blob is not theirs[page])
             data = region.data
-            for page in dirty:
+            for page in write:
                 low = page << PAGE_SHIFT
-                data[low:low + PAGE_SIZE] = view[low:low + PAGE_SIZE]
-            pages += len(dirty)
+                data[low:low + PAGE_SIZE] = mine[page]
+            pages += len(write)
             dirty.clear()
         return pages
 
@@ -98,17 +109,25 @@ class MachineSnapshot:
             del cpu.exit_code
 
     def make_kernel(self):
-        """A fresh kernel+client for one experiment; the pristine
+        """A fresh kernel+client at the snapshot state; the pristine
         kernel inside the snapshot is never handed out directly."""
         return self.kernel.clone()
 
-    # -- fork ----------------------------------------------------------
 
-    def materialize_memory(self):
-        """Build a brand-new :class:`Memory` at the snapshot state --
-        no bytearray is shared with any live process."""
-        memory = Memory()
-        for (name, start, writable), blob in zip(self.region_layout,
-                                                 self.region_blobs):
-            memory.map_region(name, start, blob, writable=writable)
-        return memory
+def _copy_pages(region, shared):
+    """*shared* (a page tuple) with the region's dirty pages replaced
+    by copies of their live contents -- *shared* itself when nothing is
+    dirty, every page copied when *shared* is ``None``."""
+    if shared is None:
+        dirty = range(region.page_count())
+        shared = (None,) * len(dirty)
+    else:
+        dirty = region.dirty
+    if not dirty:
+        return shared
+    pages = list(shared)
+    data = region.data
+    for page in dirty:
+        low = page << PAGE_SHIFT
+        pages[page] = bytes(data[low:low + PAGE_SIZE])
+    return tuple(pages)

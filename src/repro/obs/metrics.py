@@ -25,8 +25,10 @@ fleet merge alike, so it is identical for any worker count or resume
 history by construction.  Its one counted member, ``retry_requeues``,
 is summed over the runners that requeued.  Everything a run measures
 about itself is *volatile* and lives under ``"volatile"``: wall clock
-and throughput, ``runtime.*`` (golden runs, sessions, resumed and
-executed experiments), ``engine.*`` (the execution engine's
+and throughput, ``runtime.*`` (golden runs; ``sessions``, the
+breakpoint prefix passes run; ``sessions_reused``, the site visits
+served from a captured snapshot; resumed and executed experiments),
+``engine.*`` (the execution engine's
 counters), ``pruning.*`` and ``supervisor.*`` (the fleet's
 supervision events seen while the campaign was live).
 ``CampaignResult.timing`` is a view of that section.  A fleet merge

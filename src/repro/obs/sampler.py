@@ -115,8 +115,9 @@ class Sampler:
         """Context manager accumulating host wall-seconds for *name*
         (``golden-run`` / ``client-session`` / ``restore`` /
         ``experiment`` / ``merge``).  Phases may nest: ``restore``
-        and ``client-session`` (the breakpoint prefix run) are timed
-        inside ``experiment``."""
+        and ``client-session`` (a site select, with the prefix pass
+        when the session lacks the site) are timed inside
+        ``experiment``."""
         return _HostPhase(self, name)
 
     # -- serialization --------------------------------------------------

@@ -11,7 +11,9 @@ Span taxonomy (nesting by temporal containment within a track)::
     campaign                      the whole run (serial parent)
       golden-run                  reference execution
       experiment                  one injection point
-        client-session            BreakpointSession build (prefix run)
+        client-session            site select: restore into the cell's
+                                  BreakpointSession (plus its prefix
+                                  pass on first use or new sites)
         injection                 flip + run-to-completion
     shard                         one worker's slice (tid = shard+1)
       ...same children...

@@ -132,58 +132,3 @@ class TestCleanConnection:
         assert status.kind == "exit"
         assert kernel.channel.normalized_transcript() == golden.transcript
 
-
-class TestSessionCacheBound:
-    """The LRU bound that keeps a long-lived warm worker's memory
-    flat: ``capacity`` caps resident sessions, evictions are counted,
-    and an evicted site simply re-captures on next use."""
-
-    def _key(self, index):
-        from repro.injection import SessionCache
-        return SessionCache.key(object(), "Client1", 100, index)
-
-    def test_capacity_bounds_resident_sessions(self):
-        from repro.injection import SessionCache
-        cache = SessionCache(capacity=3)
-        for index in range(10):
-            cache.store(self._key(index), "session-%d" % index)
-        assert len(cache) == 3
-        assert cache.evictions == 7
-        assert cache.stats()["evictions"] == 7
-
-    def test_lookup_refreshes_lru_position(self):
-        from repro.injection import SessionCache
-        cache = SessionCache(capacity=2)
-        cache.store(self._key(0), "a")
-        cache.store(self._key(1), "b")
-        assert cache.lookup(self._key(0)) == "a"   # refresh 0
-        cache.store(self._key(2), "c")             # evicts 1, not 0
-        assert cache.lookup(self._key(0)) == "a"
-        assert cache.lookup(self._key(1)) is None
-        assert cache.evictions == 1
-
-    def test_unbounded_by_default(self):
-        from repro.injection import SessionCache
-        cache = SessionCache()
-        for index in range(100):
-            cache.store(self._key(index), index)
-        assert len(cache) == 100
-        assert cache.evictions == 0
-
-    def test_evicted_site_recaptures_with_identical_outcomes(
-            self, ftp_daemon, covered_points):
-        """A campaign slice squeezed through a capacity-1 cache (every
-        site eviction forces a fresh prefix run) must produce the same
-        outcomes as an unbounded cache."""
-        from repro.apps.ftpd import CLIENT_FACTORIES
-        from repro.injection import run_campaign, SessionCache
-        bounded = SessionCache(capacity=1)
-        tight = run_campaign(ftp_daemon, "Client1",
-                             CLIENT_FACTORIES["Client1"],
-                             max_points=24, session_cache=bounded)
-        loose = run_campaign(ftp_daemon, "Client1",
-                             CLIENT_FACTORIES["Client1"],
-                             max_points=24)
-        assert [r.outcome for r in tight.results] \
-            == [r.outcome for r in loose.results]
-        assert tight.counts() == loose.counts()

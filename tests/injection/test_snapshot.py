@@ -1,5 +1,5 @@
 """MachineSnapshot semantics: dirty-page restore vs full restore,
-pristine-skip, forking, and cross-model session reuse.
+pristine-skip, and cross-model session reuse.
 
 The acceptance gate for the snapshot-fork engine: on every registered
 daemon x fault-model cell, the dirty-page restore path must produce
@@ -14,7 +14,7 @@ import pytest
 from repro.apps.registry import available_daemons, get_daemon_spec
 from repro.injection import (available_fault_models, BreakpointSession,
                              get_fault_model, MachineSnapshot,
-                             record_golden, RunOptions, SessionCache)
+                             record_golden, RunOptions)
 from repro.injection.runner import CampaignRunner
 
 #: per-cell experiment cap: enough to span several instructions (and
@@ -50,12 +50,16 @@ def _signature(campaign):
             for result in campaign.results]
 
 
-def _run(daemon, spec, model, points, session_cache=None, **options):
+def _run(daemon, spec, model, points, sessions=None, **options):
     runner = CampaignRunner(daemon, "Client1",
                             spec.client_factory("Client1"),
                             RunOptions(**options), fault_model=model,
-                            points=points, session_cache=session_cache)
+                            points=points, sessions=sessions)
     return runner.run()
+
+
+def _image(snapshot):
+    return [b"".join(pages) for pages in snapshot.pages]
 
 
 class TestDirtyVsFullCrossCheck:
@@ -117,50 +121,6 @@ class TestPristineSkip:
         assert 0 < pages < restores * total_pages
 
 
-class TestFork:
-    def test_fork_runs_identically(self, ftp_daemon):
-        spec = get_daemon_spec("ftpd")
-        model = get_fault_model(None)
-        points = _covered_points(ftp_daemon, spec, model)
-        point = points[0]
-        parent = BreakpointSession(ftp_daemon,
-                                   spec.client_factory("Client1"),
-                                   point.instruction_address)
-        sibling = parent.fork()
-        status_a, kernel_a, __ = parent.run_with_flip(
-            point.flip_address, 2)
-        status_b, kernel_b, __ = sibling.run_with_flip(
-            point.flip_address, 2)
-        assert status_a.kind == status_b.kind
-        assert status_a.instret == status_b.instret
-        assert kernel_a.channel.normalized_transcript() \
-            == kernel_b.channel.normalized_transcript()
-
-    def test_fork_shares_no_mutable_machine_state(self, ftp_daemon):
-        spec = get_daemon_spec("ftpd")
-        model = get_fault_model(None)
-        points = _covered_points(ftp_daemon, spec, model)
-        parent = BreakpointSession(ftp_daemon,
-                                   spec.client_factory("Client1"),
-                                   points[0].instruction_address)
-        sibling = parent.fork()
-        for mine, theirs in zip(parent.process.memory.regions,
-                                sibling.process.memory.regions):
-            assert mine.data is not theirs.data
-        assert parent.process.cpu is not sibling.process.cpu
-        assert parent.process.kernel is not sibling.process.kernel
-        assert sibling.snapshot is parent.snapshot
-
-    def test_fork_of_unreached_session_raises(self, ftp_daemon):
-        session = BreakpointSession(ftp_daemon,
-                                    get_daemon_spec("ftpd")
-                                    .client_factory("Client1"),
-                                    0xDEAD)
-        assert not session.reached
-        with pytest.raises(RuntimeError):
-            session.fork()
-
-
 class TestSnapshotUnit:
     def test_restore_reverts_exactly_the_dirty_pages(self, ftp_daemon):
         spec = get_daemon_spec("ftpd")
@@ -169,7 +129,7 @@ class TestSnapshotUnit:
         session = BreakpointSession(ftp_daemon,
                                     spec.client_factory("Client1"),
                                     points[0].instruction_address)
-        blobs = [bytes(blob) for blob in session.snapshot.region_blobs]
+        blobs = _image(session.snapshot)
         session.run_with_flip(points[0].flip_address, 1)
         session._restore()
         for region, blob in zip(session.process.memory.regions, blobs):
@@ -187,7 +147,7 @@ class TestSnapshotUnit:
         recaptured = MachineSnapshot.capture(session.process,
                                              session.process.kernel)
         assert session.process.memory.dirty_pages() == {}
-        assert recaptured.region_blobs \
+        assert _image(recaptured) \
             == [bytes(r.data) for r in session.process.memory.regions]
 
 
@@ -195,31 +155,20 @@ class TestSessionCacheReuse:
     def test_shared_cache_across_models_preserves_outcomes(
             self, ftp_daemon):
         """One site snapshot serves every fault model aimed at that
-        instruction: campaigns run back-to-back over a shared cache
-        must equal campaigns with private caches, and the second
-        sweep must actually hit the cache."""
+        instruction: campaigns run back-to-back over a shared
+        ``sessions`` dict must equal campaigns with private sessions,
+        and only the first of them may run a prefix pass."""
         spec = get_daemon_spec("ftpd")
-        cache = SessionCache()
+        sessions = {}
+        passes = []
         for model_name in available_fault_models():
             model = get_fault_model(model_name)
             points = _covered_points(ftp_daemon, spec, model)
             private = _run(ftp_daemon, spec, model, points)
             shared = _run(ftp_daemon, spec, model, points,
-                          session_cache=cache)
+                          sessions=sessions)
             assert _signature(private) == _signature(shared), model_name
-        assert cache.hits > 0
-
-    def test_cache_capacity_evicts_lru(self, ftp_daemon):
-        spec = get_daemon_spec("ftpd")
-        model = get_fault_model(None)
-        points = _covered_points(ftp_daemon, spec, model, cap=None)
-        addresses = sorted({p.instruction_address for p in points})
-        assert len(addresses) >= 2
-        cache = SessionCache(capacity=1)
-        factory = spec.client_factory("Client1")
-        for address in addresses[:2]:
-            key = SessionCache.key(ftp_daemon, "Client1", 400_000,
-                                   address)
-            cache.store(key, BreakpointSession(ftp_daemon, factory,
-                                               address))
-        assert len(cache._sessions) == 1
+            passes.append(shared.metrics["volatile"]["counters"].get(
+                "runtime.sessions", 0))
+        assert passes[0] == 1
+        assert len(sessions) == 1

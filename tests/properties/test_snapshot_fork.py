@@ -1,11 +1,11 @@
-"""Fork independence, property-checked across daemons x fault models.
+"""Site independence, property-checked across daemons x fault models.
 
-Two sessions restored (forked) from the same :class:`MachineSnapshot`
-must share no mutable state: whatever fault one of them runs, the
-sibling's machine stays byte-identical to the snapshot, and running
-the same fault in the sibling afterwards reproduces the same outcome.
-Any bytearray or kernel-object aliasing between siblings would break
-one of the two assertions.
+One :class:`BreakpointSession` holds every site of a cell and restores
+them into a single live process.  Whatever sequence of (site, fault
+model, point) experiments runs through it, each experiment must equal
+the same experiment in a fresh single-site session: any state leaking
+from one site or model to the next -- memory pages, registers, lazy
+flags, kernel or client objects, stale decodes -- breaks that.
 """
 
 from __future__ import annotations
@@ -14,122 +14,110 @@ import pytest
 from hypothesis import given, HealthCheck, settings, strategies as st
 
 from repro.apps.registry import available_daemons, get_daemon_spec
-from repro.injection import (available_fault_models, BreakpointSession,
-                             get_fault_model, record_golden)
+from repro.injection import (BreakpointSession, get_fault_model,
+                             record_golden)
 from repro.injection.campaign import ENCODING_OLD
 
-_MAX_POINTS = 8
+MODELS = ("branch-bit", "register-bit", "memory-bit")
+_SITES = 4             # sites per cell
+_POINTS_PER_SITE = 2   # points per (site, model)
 _context = {}
 
 
 @pytest.fixture(scope="module")
 def cells(ftp_daemon, ssh_daemon, pop3_daemon):
-    """Lazy per-(daemon, model) cell: covered points + a parent
-    session at the first covered instruction, built on first use and
-    cached for every hypothesis example after it."""
+    """Lazy per-daemon cell: a few covered sites, their points under
+    every model, one shared multi-site session, and a memo of each
+    experiment's outcome in a fresh single-site session."""
     compiled = {"ftpd": ftp_daemon, "sshd": ssh_daemon,
                 "pop3d": pop3_daemon}
 
-    def cell(daemon_name, model_name):
-        key = (daemon_name, model_name)
-        if key not in _context:
+    def cell(daemon_name):
+        if daemon_name not in _context:
             daemon = compiled[daemon_name]
-            spec = get_daemon_spec(daemon_name)
-            factory = spec.client_factory("Client1")
-            model = get_fault_model(model_name)
+            factory = get_daemon_spec(daemon_name).client_factory(
+                "Client1")
             golden = record_golden(daemon, factory)
-            points = [point for point in model.enumerate_points(
-                          daemon.module, daemon.auth_ranges())
-                      if point.instruction_address in golden.coverage]
-            points = points[:_MAX_POINTS]
-            parent = BreakpointSession(
-                daemon, factory, points[0].instruction_address)
-            assert parent.reached
-            _context[key] = (daemon, model, points, parent)
-        return _context[key]
+            branch = get_fault_model("branch-bit")
+            covered = sorted({
+                point.instruction_address for point
+                in branch.enumerate_points(daemon.module,
+                                           daemon.auth_ranges())
+                if point.instruction_address in golden.coverage})
+            sites = covered[::max(1, len(covered) // _SITES)][:_SITES]
+            points = []
+            for name in MODELS:
+                model = get_fault_model(name)
+                for site in sites:
+                    at_site = [point for point in model.enumerate_points(
+                                   daemon.module, daemon.auth_ranges())
+                               if point.instruction_address == site]
+                    points.extend((model, point) for point
+                                  in at_site[:_POINTS_PER_SITE])
+            shared = BreakpointSession(daemon, factory, sites)
+            _context[daemon_name] = (daemon, factory, points, shared, {})
+        return _context[daemon_name]
 
     return cell
 
 
-def _apply(session, model, point, module):
-    return model.apply(session, point, ENCODING_OLD, module)
+def _outcome(session, model, point, module):
+    status, kernel, client = model.apply(session, point, ENCODING_OLD,
+                                         module)
+    return (status.kind, status.instret,
+            kernel.channel.normalized_transcript(), client.broke_in())
 
 
-def _machine_equals_snapshot(session):
-    """The session's memory is byte-identical to its snapshot (modulo
-    nothing: a pristine fork has run no instruction)."""
-    return all(bytes(region.data) == blob
-               for region, blob in zip(session.process.memory.regions,
-                                       session.snapshot.region_blobs))
+def _fresh_outcome(cell, model, point):
+    daemon, factory, __, __, memo = cell
+    key = (model.name, point.key)
+    if key not in memo:
+        fresh = BreakpointSession(daemon, factory,
+                                  point.instruction_address)
+        assert fresh.reached
+        memo[key] = _outcome(fresh, model, point, daemon.module)
+    return memo[key]
 
 
 @settings(max_examples=24, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture,
                                  HealthCheck.too_slow])
 @given(data=st.data(),
-       daemon_name=st.sampled_from(available_daemons()),
-       model_name=st.sampled_from(available_fault_models()))
-def test_fork_independence(cells, data, daemon_name, model_name):
-    daemon, model, points, parent = cells(daemon_name, model_name)
-    # only points at the parent's instruction can run in its forks
-    usable = [point for point in points
-              if point.instruction_address
-              == parent.breakpoint_address]
-    point = data.draw(st.sampled_from(usable), label="point")
-
-    first = parent.fork()
-    second = parent.fork()
-
-    status_a, kernel_a, client_a = _apply(first, model, point,
-                                          daemon.module)
-
-    # the sibling never ran: its machine must still equal the snapshot
-    # bit for bit, and none of its mutable objects may be the ones the
-    # first fork just used.
-    assert _machine_equals_snapshot(second)
-    assert second.process.kernel is not first.process.kernel
-    assert second.process.kernel.channel.transcript \
-        is not kernel_a.channel.transcript
-    assert second.process.kernel.channel.client is not client_a
-    for mine, theirs in zip(first.process.memory.regions,
-                            second.process.memory.regions):
-        assert mine.data is not theirs.data
-    snapshot_kernel = parent.snapshot.kernel
-    assert kernel_a is not snapshot_kernel
-    assert second.process.kernel is not snapshot_kernel
-
-    # and the same fault replayed in the sibling gives the same run.
-    status_b, kernel_b, client_b = _apply(second, model, point,
-                                          daemon.module)
-    assert status_b.kind == status_a.kind
-    assert status_b.instret == status_a.instret
-    assert kernel_b.channel.normalized_transcript() \
-        == kernel_a.channel.normalized_transcript()
-    assert client_b.broke_in() == client_a.broke_in()
+       daemon_name=st.sampled_from(available_daemons()))
+def test_site_independence(cells, data, daemon_name):
+    cell = cells(daemon_name)
+    daemon, __, points, shared, __ = cell
+    order = data.draw(st.lists(st.sampled_from(points), min_size=1,
+                               max_size=6), label="experiments")
+    for model, point in order:
+        assert shared.select(point.instruction_address) is shared
+        assert _outcome(shared, model, point, daemon.module) \
+            == _fresh_outcome(cell, model, point), \
+            (model.name, point.key)
 
 
 @settings(max_examples=12, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture,
                                  HealthCheck.too_slow])
 @given(daemon_name=st.sampled_from(available_daemons()),
-       model_name=st.sampled_from(available_fault_models()))
+       model_name=st.sampled_from(MODELS))
 def test_snapshot_kernel_never_mutates(cells, daemon_name, model_name):
-    """The pristine kernel inside the snapshot is the source of every
-    restore: running experiments must never change its transcript or
-    client state."""
-    daemon, model, points, parent = cells(daemon_name, model_name)
-    snapshot_kernel = parent.snapshot.kernel
-    before = (list(snapshot_kernel.channel.transcript),
-              bytes(snapshot_kernel.channel.to_server),
-              snapshot_kernel.syscall_count,
-              dict(snapshot_kernel.channel.client.__dict__))
-    point = next(point for point in points
-                 if point.instruction_address
-                 == parent.breakpoint_address)
-    _apply(parent.fork(), model, point, daemon.module)
-    _apply(parent, model, point, daemon.module)
-    after = (list(snapshot_kernel.channel.transcript),
-             bytes(snapshot_kernel.channel.to_server),
-             snapshot_kernel.syscall_count,
-             dict(snapshot_kernel.channel.client.__dict__))
-    assert after == before
+    """The pristine kernels inside the snapshots are the source of
+    every restore: running experiments at any site must never change
+    a transcript or client state of any capture."""
+    daemon, __, points, shared, __ = cells(daemon_name)
+
+    def kernels():
+        return [(list(snapshot.kernel.channel.transcript),
+                 bytes(snapshot.kernel.channel.to_server),
+                 snapshot.kernel.syscall_count,
+                 dict(snapshot.kernel.channel.client.__dict__))
+                for snapshot in shared.captures.values()]
+
+    before = kernels()
+    for model, point in points:
+        if model.name == model_name:
+            shared.select(point.instruction_address)
+            model.apply(shared, point, ENCODING_OLD, daemon.module)
+            assert shared.process.kernel is not shared.snapshot.kernel
+    assert kernels() == before

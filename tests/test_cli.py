@@ -439,19 +439,16 @@ class TestServeParser:
         args = build_parser().parse_args(["serve"])
         assert args.workers == 2
         assert args.quota == 2
-        assert args.session_capacity == 64
         assert args.unit_instructions is None
 
     def test_overrides(self):
         args = build_parser().parse_args(
             ["serve", "--socket", "/tmp/x.sock", "--workers", "4",
-             "--quota", "1", "--unit-instructions", "2",
-             "--session-capacity", "16"])
+             "--quota", "1", "--unit-instructions", "2"])
         assert args.socket == "/tmp/x.sock"
         assert args.workers == 4
         assert args.quota == 1
         assert args.unit_instructions == 2
-        assert args.session_capacity == 16
 
     def test_status_requires_journal(self):
         with pytest.raises(SystemExit):
